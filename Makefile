@@ -1,14 +1,15 @@
 GO ?= go
 
-.PHONY: check check-race vet build test race bench bench-raft bench-resume bench-script bench-smoke bench-snapshot conformance fleet fuzz explore goldens harden raft resume snapshot
+.PHONY: check check-race vet build test race e2ebench-check bench bench-raft bench-resume bench-script bench-smoke bench-snapshot conformance fleet fuzz explore goldens harden raft resume snapshot
 
 # check is the full PR gate: vet, build, race-enabled tests (the parallel
 # conformance runner and campaign pool run under -race via ./...), an
 # explicit conformance pass, a short fuzz smoke over the script language,
-# and a one-iteration pass over every benchmark so the perf suite always
-# compiles. Allocation budgets (TestFilterProcessAllocBudget and friends)
-# run in the non-race `test` pass, so hot-path alloc creep fails the gate.
-check: vet build test race conformance fuzz bench-smoke
+# a one-iteration pass over every benchmark so the perf suite always
+# compiles, and a vet/test/build of the end-to-end benchmark module.
+# Allocation budgets (TestFilterProcessAllocBudget and friends) run in the
+# non-race `test` pass, so hot-path alloc creep fails the gate.
+check: vet build test race conformance fuzz bench-smoke e2ebench-check
 
 vet:
 	$(GO) vet ./...
@@ -22,6 +23,15 @@ test:
 race:
 	$(GO) test -race ./...
 
+# e2ebench-check vets, tests and builds the end-to-end benchmark. It is a
+# separate Go module (replace pfi => ../), so the root ./... never builds
+# it; this catches API changes that would break the benchmark. The
+# environment matches e2ebench/run.sh, and the binary is discarded.
+E2EBENCH_ENV = GOWORK=off GOFLAGS=-mod=mod GOPROXY=off GOTOOLCHAIN=local
+e2ebench-check:
+	cd e2ebench && $(E2EBENCH_ENV) $(GO) vet . && $(E2EBENCH_ENV) $(GO) test . && \
+		$(E2EBENCH_ENV) $(GO) build -o /dev/null .
+
 # check-race is the standalone race gate for CI pipelines that split the
 # detector run from the main check.
 check-race: race
@@ -31,19 +41,17 @@ check-race: race
 bench-smoke:
 	$(GO) test -bench=. -benchtime=1x -run @ ./...
 
-# bench measures the script hot path — compiled VM vs the tree-walking
-# reference engine (the *Tree benchmarks) — and regenerates
-# BENCH_script.json with before/after numbers and deltas.
+# bench measures the script hot path — the per-message filter path and
+# the interpreter on its own — and regenerates BENCH_script.json.
 bench:
 	$(GO) test -bench 'FilterProcess|InterpEval' -benchmem -benchtime 2s -count 1 -run @ . | \
-		$(GO) run ./tools/benchjson -out BENCH_script.json \
-		-note "before = tree-walking reference engine (PFI_SCRIPT_ENGINE=tree), after = compiled register VM, same host and run; PR 1 tree-walker baseline for BenchmarkFilterProcess was 962 ns/op, 116 B/op, 6 allocs/op"
+		$(GO) run ./tools/benchjson -out BENCH_script.json
 
 # bench-script is the CI smoke over the script hot path: the filter and
 # interpreter benchmarks at a fixed small iteration count (no timing
 # claims — CI machines are noisy) plus the allocation budgets, so a change
-# that re-introduces per-message garbage on the AOT-optimized path fails
-# the job even when it is too small to move wall-clock numbers.
+# that re-introduces per-message garbage in the interpreter fails the job
+# even when it is too small to move wall-clock numbers.
 bench-script:
 	$(GO) test -bench 'FilterProcess|InterpEval' -benchmem -benchtime 100x -run @ .
 	$(GO) test -run 'AllocBudget' -count 1 -v .
@@ -64,9 +72,9 @@ fleet:
 
 # fuzz gives each native fuzz target a 10-second smoke. Corpus findings are
 # written to testdata/fuzz as usual; run longer locally when touching the
-# script parser or compiler. FuzzCompiledParity is the differential oracle
-# for the register VM: tree-walker and compiled program must agree
-# byte-for-byte on result, error text, and output. FuzzJournalParse
+# script parser or interpreter. FuzzCompiledParity requires a script parsed
+# once and run to agree byte-for-byte with the same source evaluated cold
+# and then warm through the parse caches. FuzzJournalParse
 # hammers the write-ahead log's frame parser with hostile bytes — the
 # recovery scan must never panic, loop, or accept a corrupt frame.
 fuzz:

@@ -13,8 +13,8 @@ import (
 
 // TestFilterProcessAllocBudget pins the steady-state allocation count of
 // the per-message filter path so regressions fail `make check` instead of
-// silently eroding campaign throughput. The budget matches the compiled-VM
-// number recorded in BENCH_script.json; raise it only with a bench entry
+// silently eroding campaign throughput. The budget matches the number
+// recorded in BENCH_script.json; raise it only with a bench entry
 // explaining why.
 //
 // The race detector instruments allocations, so the budget is only
@@ -23,7 +23,7 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not stable under -race")
 	}
-	const budget = 0 // ISSUE: AOT-optimized hot path must stay allocation-free
+	const budget = 0 // the per-message hot path must stay allocation-free
 
 	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
 	l := core.NewLayer(env, core.WithStub(benchStub{}))
@@ -40,7 +40,7 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := message.NewString("payload-0123456789")
-	// Warm up: first sends compile the script and grow interpreter stacks.
+	// Warm up: first sends fill the parse caches and the word-buffer pool.
 	for i := 0; i < 16; i++ {
 		if err := stk.Send(m); err != nil {
 			t.Fatal(err)
@@ -53,48 +53,6 @@ func TestFilterProcessAllocBudget(t *testing.T) {
 	})
 	if avg > budget {
 		t.Fatalf("FilterProcess steady state allocates %.1f/op, budget is %d", avg, budget)
-	}
-}
-
-// TestFilterProcessBatchAllocBudget pins the batched activation path to the
-// same allocation-free steady state as the per-message path: the SoA
-// recognition pass and its scratch arrays must reuse across bursts.
-func TestFilterProcessBatchAllocBudget(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not stable under -race")
-	}
-	const budget = 0 // scratch reuse: batching must not add per-burst garbage
-
-	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "alloc"}
-	l := core.NewLayer(env, core.WithStub(benchStub{}))
-	stk := stack.New(env, l)
-	stk.OnTransmit(func(m *message.Message) error { return nil })
-	if err := l.SetSendScript(`if {[msg_type cur_msg] eq "DATA"} {
-	if {![info exists dropped]} { set dropped 0 }
-	if {$dropped < 3} {
-		incr dropped
-		xDrop cur_msg
-	}
-}
-`); err != nil {
-		t.Fatal(err)
-	}
-	burst := make([]*message.Message, 16)
-	for i := range burst {
-		burst[i] = message.NewString("payload-0123456789")
-	}
-	for i := 0; i < 8; i++ {
-		if err := stk.SendBatch(burst); err != nil {
-			t.Fatal(err)
-		}
-	}
-	avg := testing.AllocsPerRun(100, func() {
-		if err := stk.SendBatch(burst); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if avg > budget {
-		t.Fatalf("SendBatch steady state allocates %.1f/burst, budget is %d", avg, budget)
 	}
 }
 

@@ -257,92 +257,11 @@ func BenchmarkFilterProcess(b *testing.B) {
 	}
 }
 
-// BenchmarkFilterProcessBatch is BenchmarkFilterProcess with the burst fed
-// through one batched activation: recognition runs SoA up front and the
-// script program is resolved once per burst instead of once per message.
-func BenchmarkFilterProcessBatch(b *testing.B) {
-	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "bench"}
-	l := core.NewLayer(env, core.WithStub(benchStub{}))
-	stk := stack.New(env, l)
-	stk.OnTransmit(func(m *message.Message) error { return nil })
-	if err := l.SetSendScript(`if {[msg_type cur_msg] eq "DATA"} {
-	if {![info exists dropped]} { set dropped 0 }
-	if {$dropped < 3} {
-		incr dropped
-		xDrop cur_msg
-	}
-}
-`); err != nil {
-		b.Fatal(err)
-	}
-	burst := make([]*message.Message, 64)
-	for i := range burst {
-		burst[i] = message.NewString("payload-0123456789")
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += len(burst) {
-		if err := stk.SendBatch(burst); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkInterpEval measures the interpreter's per-message cost in
 // isolation: a pre-parsed filter body with command substitution, an expr
 // guard, and counter state, run repeatedly on one interpreter.
 func BenchmarkInterpEval(b *testing.B) {
 	in := script.New()
-	in.Register("msg_type", func(_ *script.Interp, args []string) (string, error) {
-		return "DATA", nil
-	})
-	s := script.MustParse(`
-		set type [msg_type cur_msg]
-		if {$type eq "DATA" && [string length $type] > 0} { incr seen }
-	`)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := in.Run(s); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFilterProcessTree is BenchmarkFilterProcess pinned to the
-// tree-walking reference engine, kept as the before/after yardstick for
-// the compiled VM on the same hot path.
-func BenchmarkFilterProcessTree(b *testing.B) {
-	env := &stack.Env{Sched: simtime.NewScheduler(), Node: "bench"}
-	l := core.NewLayer(env, core.WithStub(benchStub{}))
-	stk := stack.New(env, l)
-	stk.OnTransmit(func(m *message.Message) error { return nil })
-	l.SendFilter().Interp().SetEngine(script.EngineTree)
-	if err := l.SetSendScript(`if {[msg_type cur_msg] eq "DATA"} {
-	if {![info exists dropped]} { set dropped 0 }
-	if {$dropped < 3} {
-		incr dropped
-		xDrop cur_msg
-	}
-}
-`); err != nil {
-		b.Fatal(err)
-	}
-	m := message.NewString("payload-0123456789")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := stk.Send(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInterpEvalTree is BenchmarkInterpEval on the tree-walking
-// reference engine.
-func BenchmarkInterpEvalTree(b *testing.B) {
-	in := script.New()
-	in.SetEngine(script.EngineTree)
 	in.Register("msg_type", func(_ *script.Interp, args []string) (string, error) {
 		return "DATA", nil
 	})

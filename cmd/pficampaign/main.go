@@ -58,7 +58,6 @@ func main() {
 		types   = flag.String("types", "HEARTBEAT,PROCLAIM,JOIN,MEMBERSHIP_CHANGE,ACK,COMMIT,RUDP-ACK", "comma-separated message types to target")
 		faults  = flag.String("faults", "drop,drop-first-n,delay,duplicate,reorder", "comma-separated fault kinds")
 		list    = flag.Bool("list", false, "print the generated cases and exit")
-		dump    = flag.Bool("dump-prog", false, "disassemble each generated filter program (before/after AOT optimization) and exit")
 		quiet   = flag.Bool("quiet", false, "suppress per-verdict progress lines")
 		quar    = flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
 
@@ -133,9 +132,9 @@ func main() {
 	})
 	var runErr error
 	if *raftSizes != "" {
-		runErr = runRaftMode(it.Context(), *raftSizes, *raftChurn, *workers, *types, typesSet, *faults, *list, *dump, *quiet, *hcfg, fcfg)
+		runErr = runRaftMode(it.Context(), *raftSizes, *raftChurn, *workers, *types, typesSet, *faults, *list, *quiet, *hcfg, fcfg)
 	} else {
-		runErr = run(it.Context(), *workers, *types, *faults, *list, *dump, *quiet, *hcfg, fcfg, jl)
+		runErr = run(it.Context(), *workers, *types, *faults, *list, *quiet, *hcfg, fcfg, jl)
 	}
 	it.Stop()
 	if err := stopProf(); err != nil {
@@ -172,7 +171,7 @@ type fleetMode struct {
 
 func (f fleetMode) active() bool { return f.serve != "" || f.spawn > 0 }
 
-func run(ctx context.Context, workers int, types, faults string, list, dump, quiet bool, hcfg harden.Config, fcfg fleetMode, jl *journal.Log) error {
+func run(ctx context.Context, workers int, types, faults string, list, quiet bool, hcfg harden.Config, fcfg fleetMode, jl *journal.Log) error {
 	kinds, err := parseFaults(faults)
 	if err != nil {
 		return err
@@ -191,9 +190,6 @@ func run(ctx context.Context, workers int, types, faults string, list, dump, qui
 			fmt.Println(c.Name)
 		}
 		return nil
-	}
-	if dump {
-		return dumpPrograms(cases)
 	}
 	if fcfg.active() {
 		return runFleet(ctx, spec, len(cases), hcfg, fcfg, jl)
@@ -270,25 +266,6 @@ func runFleet(ctx context.Context, spec campaign.Spec, n int, hcfg harden.Config
 		fs.Units, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
 	if fails := campaign.Failures(verdicts); len(fails) > 0 {
 		return fmt.Errorf("%d cases failed", len(fails))
-	}
-	return nil
-}
-
-// dumpPrograms disassembles every generated case's filter script against a
-// real PFI-layer interpreter, so the listing shows the same superinstruction
-// fusion and fact specialization the sweep itself runs with.
-func dumpPrograms(cases []campaign.Case) error {
-	env := &stack.Env{Sched: netsim.NewWorld(2026).Sched, Node: "gmd3"}
-	l := core.NewLayer(env, core.WithStub(gmp.PFIStub{}))
-	for _, c := range cases {
-		f := l.SendFilter()
-		if c.Dir == core.Receive {
-			f = l.ReceiveFilter()
-		}
-		if err := f.Interp().DumpProgram(os.Stdout, c.Name, c.Script); err != nil {
-			return fmt.Errorf("%s: %w", c.Name, err)
-		}
-		fmt.Println()
 	}
 	return nil
 }

@@ -230,7 +230,7 @@ func lowestConflict(m map[uint64]map[string]bool) (uint64, string) {
 // runRaftMode is the -raft entry point: parse the size and churn axes,
 // retarget the default type vocabulary from GMP to the raft wire protocol
 // (an explicit -types still wins), and hand the spec to the sweep.
-func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, types string, typesSet bool, faults string, list, dump, quiet bool, hcfg harden.Config, fcfg fleetMode) error {
+func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, types string, typesSet bool, faults string, list, quiet bool, hcfg harden.Config, fcfg fleetMode) error {
 	sizes, err := parseRaftSizes(sizesStr)
 	if err != nil {
 		return err
@@ -264,9 +264,6 @@ func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, ty
 			}
 		}
 		return nil
-	}
-	if dump {
-		return fmt.Errorf("-dump-prog disassembles against the GMP stub; run it without -raft")
 	}
 	return runRaft(ctx, sizes, churns, spec, workers, quiet, hcfg, fcfg)
 }

@@ -218,15 +218,12 @@ func main() {
 	fmt.Println(scriptStats())
 }
 
-// scriptStats renders the AOT script-engine summary: how much compilation
-// the run amortized (cache hits), how aggressively programs were lowered
-// (fused/folded/eliminated ops, specializations), and whether any guard
-// tripped back to the general VM (recompiles, deopts).
+// scriptStats renders the script-cache summary: how many sources the run
+// parsed and how often the parse and expr caches answered instead.
 func scriptStats() string {
 	ss := script.Stats()
-	return fmt.Sprintf("script: %d compiled (%d optimized, %d specialized, %d cache hits), %d fused / %d folded / %d dce ops, %d recompiles, %d deopts",
-		ss.Compiles, ss.Optimized, ss.Specialized, ss.CacheHits,
-		ss.FusedOps, ss.FoldedOps, ss.DCEOps, ss.Recompiles, ss.Deopts)
+	return fmt.Sprintf("script: %d compiles, %d cache hits, %d cache misses",
+		ss.Compiles, ss.CacheHits, ss.CacheMisses)
 }
 
 // runFleet shards candidate evaluation over a worker fleet: locally

@@ -48,7 +48,6 @@ func main() {
 		update  = flag.Bool("update", false, "re-bless golden traces instead of checking them")
 		diff    = flag.Bool("diff", false, "print golden diffs entry by entry")
 		verbose = flag.Bool("v", false, "print every verdict, not just failures")
-		dump    = flag.Bool("dump-prog", false, "disassemble each faultload filter program (before/after AOT optimization) as it is installed")
 		quar    = flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
 	)
 	hcfg := harden.Flags(flag.CommandLine)
@@ -71,7 +70,7 @@ func main() {
 	ok, err := run(it.Context(), os.Stdout, config{
 		dir: *dir, golden: *golden, profile: *profile, runRx: *runRx,
 		workers: *workers, update: *update, diff: *diff, verbose: *verbose,
-		dump: *dump, harden: *hcfg,
+		harden: *hcfg,
 	})
 	it.Stop()
 	if perr := stopProf(); perr != nil {
@@ -115,7 +114,6 @@ type config struct {
 	dir, golden, profile, runRx string
 	workers                     int
 	update, diff, verbose       bool
-	dump                        bool
 	harden                      harden.Config
 }
 
@@ -139,12 +137,6 @@ func run(ctx context.Context, out io.Writer, cfg config) (bool, error) {
 	}
 
 	opts := conformance.Options{Workers: cfg.workers, Harden: cfg.harden, Context: ctx}
-	if cfg.dump {
-		// Disassembly interleaves with scenario execution; keep it readable
-		// by running scenarios serially.
-		opts.Workers = 1
-		opts.ProgDump = out
-	}
 	if cfg.profile != "" {
 		prof, err := profileByName(cfg.profile)
 		if err != nil {

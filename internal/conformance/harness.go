@@ -2,7 +2,6 @@ package conformance
 
 import (
 	"fmt"
-	"io"
 	"strconv"
 	"strings"
 	"time"
@@ -74,10 +73,6 @@ type harness struct {
 	// scenario builds its world (nil-safe: plain Run sets one anyway,
 	// but harness unit tests may not).
 	monitor *harden.Monitor
-
-	// progDump, when set, receives a disassembly of every faultload
-	// script (unoptimized and AOT-optimized) as it is installed.
-	progDump io.Writer
 
 	verdicts []Verdict
 }

@@ -3,7 +3,6 @@ package conformance
 import (
 	"context"
 	"fmt"
-	"io"
 	"sync"
 
 	"pfi/internal/campaign"
@@ -37,10 +36,6 @@ type Options struct {
 	// retry). The zero value still contains panics: a crashing scenario
 	// becomes a ToolFault result instead of a dead process.
 	Harden harden.Config
-	// ProgDump, when set, receives a disassembly of every faultload
-	// filter program (unoptimized and AOT-optimized) as it is installed —
-	// the pfitest -dump-prog flag.
-	ProgDump io.Writer
 }
 
 func (o Options) profile() tcp.Profile {
@@ -126,7 +121,6 @@ func Run(sc *Scenario, opts Options) *Result {
 	iso := harden.Run(cfg, func(m *harden.Monitor) error {
 		h = newHarness(prof)
 		h.monitor = m
-		h.progDump = opts.ProgDump
 		in := script.New()
 		in.SetStepLimit(m.ScriptStepLimit(stepLimit))
 		registerCommands(in, h)

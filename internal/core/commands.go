@@ -455,19 +455,6 @@ func registerFilterCommands(f *Filter) {
 		l.log.Addf(l.env.Now(), l.env.Node, "script", "", 0, strings.Join(args, " "))
 		return "", nil
 	})
-
-	// Purity here is the AOT specializer's contract: none of these can
-	// write this interpreter's variables, so frozen facts survive a call.
-	// Verdict and hold-queue mutations (xDrop, xHold, ...) are fine — the
-	// specializer only cares about interp state. Deliberately absent:
-	// xInject/xRelease/xReleaseLIFO (synchronous reentry into the peer
-	// filter, whose peer_set writes our interp mid-run), after and sync_*
-	// (evaluate script bodies).
-	in.MarkPure("msg_type", "msg_field", "msg_len", "msg_data", "msg_hex",
-		"msg_byte", "msg_log", "msg_set_byte", "xDrop", "xDelay", "xDuplicate",
-		"xHold", "held_count", "now", "now_s", "dst_normal", "dst_uniform",
-		"dst_exponential", "coin", "rand_int", "peer_get", "peer_set",
-		"node", "dir", "log")
 }
 
 func formatFloat(v float64) string {

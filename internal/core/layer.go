@@ -100,13 +100,11 @@ func NewLayer(env *stack.Env, opts ...Option) *Layer {
 	}
 	l.send = newFilter(l, Send)
 	l.recv = newFilter(l, Receive)
-	// Intrinsic facts: immutable for the layer's lifetime, so the AOT
-	// optimizer may constant-fold profile dispatch on them ($pfi_protocol
-	// guards in vendor-profile scripts become static branches).
+	// Intrinsic globals: scripts may read (and overwrite) them.
 	for _, f := range []*Filter{l.send, l.recv} {
-		f.Freeze("pfi_node", l.env.Node)
-		f.Freeze("pfi_dir", f.dir.String())
-		f.Freeze("pfi_protocol", l.stub.Protocol())
+		f.interp.SetVar("pfi_node", l.env.Node)
+		f.interp.SetVar("pfi_dir", f.dir.String())
+		f.interp.SetVar("pfi_protocol", l.stub.Protocol())
 	}
 	return l
 }
@@ -125,16 +123,6 @@ func (l *Layer) HandleDown(m *message.Message) error {
 // HandleUp implements stack.Layer: it runs the receive filter.
 func (l *Layer) HandleUp(m *message.Message) error {
 	return l.recv.process(m)
-}
-
-// HandleDownBatch implements stack.BatchHandler over the send filter.
-func (l *Layer) HandleDownBatch(ms []*message.Message) error {
-	return l.send.ProcessBatch(ms)
-}
-
-// HandleUpBatch implements stack.BatchHandler over the receive filter.
-func (l *Layer) HandleUpBatch(ms []*message.Message) error {
-	return l.recv.ProcessBatch(ms)
 }
 
 // SendFilter returns the send-side filter.
@@ -248,7 +236,6 @@ type Filter struct {
 	dir      Direction
 	interp   *script.Interp
 	compiled *script.Script
-	prepared *script.Prepared
 	hook     Hook
 	held     []*message.Message
 	stats    Stats
@@ -269,11 +256,6 @@ type Filter struct {
 	verdictBuf  verdict
 	hookCtx     HookCtx
 	fieldsReady bool // curInfo.Fields materialized (dst/src merged)
-
-	// ProcessBatch scratch: the struct-of-arrays recognition pass reuses
-	// these across bursts so batching stays allocation-free.
-	batchInfos []Info
-	batchVers  []uint32
 }
 
 func newFilter(l *Layer, dir Direction) *Filter {
@@ -300,7 +282,7 @@ func (f *Filter) HeldCount() int { return len(f.held) }
 // SetScript parses and installs the filter script. An empty src clears it.
 func (f *Filter) SetScript(src string) error {
 	if src == "" {
-		f.compiled, f.prepared = nil, nil
+		f.compiled = nil
 		return nil
 	}
 	s, err := script.Parse(src)
@@ -308,22 +290,11 @@ func (f *Filter) SetScript(src string) error {
 		return fmt.Errorf("core: %s filter script: %w", f.dir, err)
 	}
 	f.compiled = s
-	// Bind the program entry once at registration: process() then skips
-	// the per-message source-cache lookup, and the AOT optimizer runs its
-	// specialization against whatever facts are frozen at this point.
-	f.prepared = f.interp.Prepare(s)
 	return nil
 }
 
 // SetHook installs a Go-native filter hook (nil clears).
 func (f *Filter) SetHook(h Hook) { f.hook = h }
-
-// Freeze declares a script variable as an immutable fact of this filter:
-// the value is set as a global and registered with the interpreter's AOT
-// optimizer, which may specialize installed scripts against it. Freezing
-// after scripts are installed is fine — programs re-optimize on the next
-// activation.
-func (f *Filter) Freeze(name, value string) { f.interp.Freeze(name, value) }
 
 // peer returns the other filter of the same layer.
 func (f *Filter) peer() *Filter {
@@ -333,80 +304,25 @@ func (f *Filter) peer() *Filter {
 	return f.layer.send
 }
 
-// recognize types one message, falling back to UNRECOGNIZED: the PFI layer
-// must be transparent for traffic its stub does not understand.
-func (f *Filter) recognize(m *message.Message) Info {
-	info, err := f.layer.stub.Recognize(m)
-	if err != nil {
-		info = Info{Type: "UNRECOGNIZED"}
-	}
-	return info
-}
-
 // process runs the filter over one message and applies the verdict.
 func (f *Filter) process(m *message.Message) error {
 	f.stats.Seen++
 	if f.compiled == nil && f.hook == nil {
 		return f.layer.forward(f.dir, m)
 	}
-	return f.processRecognized(m, f.recognize(m))
-}
-
-// ProcessBatch runs the filter over a burst of messages in one activation.
-// Recognition runs as an up-front struct-of-arrays pass over the burst, so
-// the stub's decode loop runs hot over adjacent messages before any script
-// state is touched. Observable behavior is identical to calling the filter
-// per message in order: the first error stops the batch. Pre-recognition is
-// stamped with each message's content version — if processing an earlier
-// message mutated a later one (an aliased pointer, a held/released buffer),
-// the stale entry is re-recognized at use time, exactly as sequential
-// processing would see it.
-func (f *Filter) ProcessBatch(ms []*message.Message) error {
-	if f.compiled == nil && f.hook == nil {
-		for _, m := range ms {
-			f.stats.Seen++
-			if err := f.layer.forward(f.dir, m); err != nil {
-				return err
-			}
-		}
-		return nil
+	// Recognition falls back to UNRECOGNIZED: the PFI layer must be
+	// transparent for traffic its stub does not understand.
+	info, err := f.layer.stub.Recognize(m)
+	if err != nil {
+		info = Info{Type: "UNRECOGNIZED"}
 	}
-	infos := f.batchInfos[:0]
-	vers := f.batchVers[:0]
-	for _, m := range ms {
-		infos = append(infos, f.recognize(m))
-		vers = append(vers, m.Version())
-	}
-	f.batchInfos, f.batchVers = infos, vers
-	defer func() {
-		for k := range infos {
-			infos[k] = Info{} // don't retain field maps past the burst
-		}
-		f.batchInfos, f.batchVers = infos[:0], vers[:0]
-	}()
-	for i, m := range ms {
-		f.stats.Seen++
-		info := infos[i]
-		if m.Version() != vers[i] {
-			info = f.recognize(m)
-		}
-		if err := f.processRecognized(m, info); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// processRecognized is the per-message tail of process(): script run, hook,
-// verdict application.
-func (f *Filter) processRecognized(m *message.Message, info Info) error {
 	f.verdictBuf = verdict{}
 	f.curMsg, f.curInfo, f.cur = m, info, &f.verdictBuf
 	f.fieldsReady = false
 	defer func() { f.curMsg, f.cur = nil, nil }()
 
-	if f.prepared != nil {
-		if _, err := f.prepared.Run(); err != nil {
+	if f.compiled != nil {
+		if _, err := f.interp.Run(f.compiled); err != nil {
 			return fmt.Errorf("core: %s filter on %s: %w", f.dir, f.layer.env.Node, err)
 		}
 	}

@@ -621,6 +621,35 @@ func TestNodeAndDirCommands(t *testing.T) {
 	r.deliver(t, demoMsg(demoDATA, 1, ""))
 }
 
+// TestIntrinsicGlobals: every filter starts with $pfi_node, $pfi_dir and
+// $pfi_protocol set, and they are ordinary globals — a script that
+// overwrites one sees its own write on the next message.
+func TestIntrinsicGlobals(t *testing.T) {
+	r := newRig(t)
+	if err := r.layer.SetSendScript(`
+		lappend seen "$pfi_node/$pfi_dir/$pfi_protocol"
+		if {$pfi_protocol eq "demo"} { xDrop cur_msg }
+		set pfi_protocol rewritten
+	`); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.layer.SetReceiveScript(`lappend seen "$pfi_node/$pfi_dir/$pfi_protocol"`); err != nil {
+		t.Fatal(err)
+	}
+	r.send(t, demoMsg(demoDATA, 1, ""))
+	r.send(t, demoMsg(demoDATA, 2, ""))
+	r.deliver(t, demoMsg(demoDATA, 3, ""))
+	if got, _ := r.layer.SendFilter().Interp().Global("seen"); got != "testnode/send/demo testnode/send/rewritten" {
+		t.Errorf("send filter saw %q", got)
+	}
+	if got, _ := r.layer.ReceiveFilter().Interp().Global("seen"); got != "testnode/receive/demo" {
+		t.Errorf("receive filter saw %q", got)
+	}
+	if len(r.toNet) != 1 || r.toNet[0].Bytes()[1] != 2 {
+		t.Fatalf("toNet = %d messages, want only seq 2 (seq 1 dropped on $pfi_protocol)", len(r.toNet))
+	}
+}
+
 func TestNowCommand(t *testing.T) {
 	r := newRig(t)
 	r.sched.RunFor(1500 * time.Millisecond)

@@ -69,7 +69,6 @@ type delayedMsg struct {
 // filterState is one filter's mutable state.
 type filterState struct {
 	compiled *script.Script
-	prepared *script.Prepared
 	hook     Hook
 	held     []heldMsg
 	delayed  []delayedMsg
@@ -80,7 +79,6 @@ type filterState struct {
 func (f *Filter) snapshotState() *filterState {
 	st := &filterState{
 		compiled: f.compiled,
-		prepared: f.prepared,
 		hook:     f.hook,
 		stats:    f.stats,
 		interp:   f.interp.SnapshotState(),
@@ -98,7 +96,6 @@ func (f *Filter) snapshotState() *filterState {
 
 func (f *Filter) restoreState(st *filterState) {
 	f.compiled = st.compiled
-	f.prepared = st.prepared
 	f.hook = st.hook
 	f.stats = st.stats
 	f.interp.RestoreState(st.interp)

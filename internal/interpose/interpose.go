@@ -47,8 +47,6 @@ type Proxy struct {
 	done       chan struct{}
 	loopExit   chan struct{}
 	clientAddr *net.UDPAddr // last client seen (single-client proxy)
-
-	batchBuf []*message.Message // runAction burst scratch (loop-owned)
 }
 
 // Config describes a proxy.
@@ -233,8 +231,7 @@ func (p *Proxy) Close() error {
 
 // action is one unit of event-loop work: either an arbitrary closure
 // (script changes, stats reads) or one inbound datagram tagged with its
-// direction, which the loop may batch with adjacent same-direction
-// datagrams into a single filter activation.
+// direction.
 type action struct {
 	fn   func()
 	data []byte
@@ -287,57 +284,18 @@ func (p *Proxy) loop(s *stack.Stack) {
 	}
 }
 
-// runAction executes one dequeued action. A datagram action greedily
-// gathers already-queued datagrams of the same direction into one burst
-// and hands them to the PFI layer as a single batched activation
-// (struct-of-arrays recognition, one program resolution). Gathering stops
-// at the first closure or direction change, so cross-direction ordering
-// and Do() serialization are exactly as if each action ran alone; the
-// burst shares one virtual-time instant, as a back-to-back burst would.
+// runAction executes one dequeued action: a closure, or one datagram run
+// through the filter for its direction.
 func (p *Proxy) runAction(a action) {
-	for {
-		if a.fn != nil {
-			a.fn()
-			return
-		}
-		batch := p.batchBuf[:0]
-		batch = append(batch, message.New(a.data))
-		up := a.up
-		var next action
-		pending := false
-	gather:
-		for len(batch) < maxBatch {
-			select {
-			case n := <-p.actions:
-				if n.fn == nil && n.up == up {
-					batch = append(batch, message.New(n.data))
-					continue
-				}
-				next, pending = n, true
-				break gather
-			default:
-				break gather
-			}
-		}
-		if up {
-			_ = p.layer.HandleUpBatch(batch)
-		} else {
-			_ = p.layer.HandleDownBatch(batch)
-		}
-		for i := range batch {
-			batch[i] = nil
-		}
-		p.batchBuf = batch[:0]
-		if !pending {
-			return
-		}
-		a = next
+	switch {
+	case a.fn != nil:
+		a.fn()
+	case a.up:
+		_ = p.layer.HandleUp(message.New(a.data))
+	default:
+		_ = p.layer.HandleDown(message.New(a.data))
 	}
 }
-
-// maxBatch bounds one gathered burst so a flood cannot starve the
-// scheduler or Do() actions behind an ever-growing batch.
-const maxBatch = 64
 
 // readClient pumps datagrams from clients into the receive filter.
 // The buffer is one byte larger than the cap so oversized datagrams are

@@ -6,11 +6,10 @@ import (
 )
 
 // TestCompiledEvalAllocBudget pins the steady-state allocations of running
-// an already-compiled program on the VM. The filter body below is the
-// BenchmarkInterpEval script: command substitution, an expr guard with &&,
-// and incr bookkeeping. After warmup the remaining allocations are the
-// command-substitution result handed to the registered Go command and its
-// copy into the set slot — everything else runs on pooled stacks.
+// an already-parsed script. The filter body below is the BenchmarkInterpEval
+// script: command substitution, an expr guard with &&, and incr
+// bookkeeping. After warmup the parse and expr caches hit, word buffers
+// come from the interpreter's pool, and small counter values are interned.
 //
 // The race detector inflates allocation counts; enforce in normal builds.
 func TestCompiledEvalAllocBudget(t *testing.T) {
@@ -38,13 +37,13 @@ func TestCompiledEvalAllocBudget(t *testing.T) {
 		}
 	})
 	if avg > budget {
-		t.Fatalf("compiled eval steady state allocates %.1f/op, budget is %d", avg, budget)
+		t.Fatalf("eval steady state allocates %.1f/op, budget is %d", avg, budget)
 	}
 }
 
 // TestCompiledEvalNoAllocControlFlow pins a pure control-flow loop — no
-// command dispatch, no substitution — which must run allocation-free once
-// compiled: the whole point of lowering to the register VM.
+// host command, no string building — which must run allocation-free once
+// its body and condition are cached.
 func TestCompiledEvalNoAllocControlFlow(t *testing.T) {
 	if raceDetectorEnabled {
 		t.Skip("allocation counts are not stable under -race")
@@ -63,15 +62,14 @@ while {$i < 8} { incr i }`)
 		}
 	})
 	if avg > 0 {
-		t.Fatalf("compiled control-flow loop allocates %.1f/op, want 0", avg)
+		t.Fatalf("control-flow loop allocates %.1f/op, want 0", avg)
 	}
 }
 
-// TestTreeEngineStillWorks guards the reference implementation: the flag
-// and env-var escape hatch must keep the tree-walker fully functional.
+// TestTreeEngineStillWorks guards the interpreter end to end on a loop
+// that mixes foreach, expr, command substitution and puts output.
 func TestTreeEngineStillWorks(t *testing.T) {
 	in := New()
-	in.SetEngine(EngineTree)
 	var out strings.Builder
 	in.SetOutput(&out)
 	r, err := in.Eval(`set s 0; foreach x {1 2 3} { set s [expr {$s + $x}] }; puts $s; set s`)
@@ -79,6 +77,6 @@ func TestTreeEngineStillWorks(t *testing.T) {
 		t.Fatal(err)
 	}
 	if r != "6" || out.String() != "6\n" {
-		t.Fatalf("tree engine: r=%q out=%q", r, out.String())
+		t.Fatalf("r=%q out=%q", r, out.String())
 	}
 }

@@ -2,8 +2,35 @@ package script
 
 import (
 	"sort"
+	"sync/atomic"
 	"unsafe"
 )
+
+// Process-wide script-cache counters, read through Stats.
+var (
+	statCompiles    atomic.Uint64 // scripts parsed on a compile-cache miss
+	statCacheHits   atomic.Uint64 // srcCache hits (scripts and exprs)
+	statCacheMisses atomic.Uint64 // srcCache misses
+)
+
+// OptStats is a snapshot of the script-cache counters.
+type OptStats struct {
+	Compiles    uint64 // Interp.compile cache misses that parsed source
+	CacheHits   uint64
+	CacheMisses uint64
+	// Deopts is always 0. It is kept only because the end-to-end
+	// benchmark reads it.
+	Deopts uint64
+}
+
+// Stats returns the process-wide script-cache counters.
+func Stats() OptStats {
+	return OptStats{
+		Compiles:    statCompiles.Load(),
+		CacheHits:   statCacheHits.Load(),
+		CacheMisses: statCacheMisses.Load(),
+	}
+}
 
 // srcKey identifies a string by its backing array and length. Two strings
 // with the same key are guaranteed byte-identical (string data is
@@ -43,7 +70,7 @@ type srcEntry[T any] struct {
 // srcCache memoizes a compilation keyed by source text, with an O(1)
 // pointer-identity fast path and bounded LRU eviction: when the entry count
 // reaches limit, the least-recently-used half is dropped, keeping hot
-// filter bodies compiled across arbitrarily long campaigns.
+// filter bodies parsed across arbitrarily long campaigns.
 type srcCache[T any] struct {
 	byPtr map[srcKey]*srcEntry[T]
 	bySrc map[string]*srcEntry[T]

@@ -55,18 +55,6 @@ func registerCore(in *Interp) {
 	for name, cmd := range cmds {
 		in.Register(name, cmd)
 	}
-	// Var-pure core commands: they never write interpreter variables,
-	// define procs, or evaluate scripts, so invoke sites resolving to
-	// them cannot disturb frozen specialization facts mid-run. Anything
-	// that writes variables (set, incr, append, lappend, lassign, unset,
-	// global) or evaluates script text (if, while, for, foreach, switch,
-	// eval, catch, proc, expr) stays off this list.
-	in.MarkPure(
-		"list", "lindex", "llength", "lrange", "linsert", "lsearch",
-		"lsort", "lreverse", "lreplace", "concat", "join", "split",
-		"string", "format", "info", "puts", "error",
-		"return", "break", "continue",
-	)
 }
 
 func cmdSet(in *Interp, args []string) (string, error) {
@@ -115,7 +103,7 @@ func cmdIncr(in *Interp, args []string) (string, error) {
 		}
 		cur = c
 	}
-	res := strconv.FormatInt(cur+delta, 10)
+	res := itoaFast(cur + delta)
 	in.SetVar(args[0], res)
 	return res, nil
 }
@@ -182,7 +170,7 @@ func (in *Interp) evalBody(body string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return in.runAny(s)
+	return in.run(s)
 }
 
 func cmdWhile(in *Interp, args []string) (string, error) {
@@ -393,7 +381,7 @@ func cmdProc(in *Interp, args []string) (string, error) {
 		return "", err
 	}
 	pr.body = body
-	in.defineProc(pr)
+	in.procs[pr.name] = pr
 	return "", nil
 }
 
@@ -437,7 +425,7 @@ func cmdEval(in *Interp, args []string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return in.runAny(s)
+	return in.run(s)
 }
 
 func cmdCatch(in *Interp, args []string) (string, error) {

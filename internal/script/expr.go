@@ -49,6 +49,25 @@ func (v value) String() string {
 	}
 }
 
+// smallIntStrs caches the decimal form of small integers so counter
+// bookkeeping (incr, expr results) doesn't allocate a fresh string per
+// message on the hot path.
+var smallIntStrs = func() (a [640]string) {
+	for i := range a {
+		a[i] = strconv.FormatInt(int64(i-128), 10)
+	}
+	return
+}()
+
+// itoaFast is strconv.FormatInt(n, 10) with an allocation-free fast path
+// for the small values counters actually take.
+func itoaFast(n int64) string {
+	if n >= -128 && n < 512 {
+		return smallIntStrs[n+128]
+	}
+	return strconv.FormatInt(n, 10)
+}
+
 func (v value) isNumeric() bool { return v.kind == intVal || v.kind == floatVal }
 
 func (v value) asFloat() float64 {
@@ -191,7 +210,7 @@ func (n *varNode) eval(in *Interp) (value, error) {
 type cmdNode struct{ body *Script }
 
 func (n *cmdNode) eval(in *Interp) (value, error) {
-	res, err := in.runAny(n.body)
+	res, err := in.run(n.body)
 	if err != nil {
 		return value{}, err
 	}

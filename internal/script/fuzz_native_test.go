@@ -3,6 +3,7 @@ package script
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -66,6 +67,50 @@ func FuzzEval(f *testing.F) {
 		in := New()
 		in.SetStepLimit(50_000)
 		_, _ = in.Eval(src)
+	})
+}
+
+// FuzzCompiledParity: a script parsed once and run (the filter path) and
+// the same source evaluated through the parse and expr caches must agree
+// byte for byte on result, error text and puts output. The cached source
+// is evaluated twice on one interpreter, with its state rolled back in
+// between, so the second run takes every body and condition from a warm
+// cache.
+func FuzzCompiledParity(f *testing.F) {
+	seedCorpus(f)
+	f.Add(`set i 0; while {$i < 5} { incr i; eval break }`)
+	f.Add(`proc if {args} { return shadowed }; if {1} { puts never }`)
+	f.Add(`foreach {a b} {1 2 3} { puts $a$b }`)
+	f.Add(`expr {1 ? [concat a] : $nope}`)
+	f.Fuzz(func(t *testing.T, src string) {
+		type outcome struct{ res, err, out string }
+		capture := func(in *Interp, run func() (string, error)) outcome {
+			var b strings.Builder
+			in.SetOutput(&b)
+			r, err := run()
+			if err != nil {
+				return outcome{r, err.Error(), b.String()}
+			}
+			return outcome{r, "", b.String()}
+		}
+		parsed := New()
+		parsed.SetStepLimit(20000)
+		pre := capture(parsed, func() (string, error) {
+			s, err := Parse(src)
+			if err != nil {
+				return "", err
+			}
+			return parsed.Run(s)
+		})
+		in := New()
+		in.SetStepLimit(20000)
+		fresh := in.SnapshotState()
+		cold := capture(in, func() (string, error) { return in.Eval(src) })
+		in.RestoreState(fresh)
+		warm := capture(in, func() (string, error) { return in.Eval(src) })
+		if pre != cold || cold != warm {
+			t.Fatalf("divergence on %q:\n parsed: %+v\n   cold: %+v\n   warm: %+v", src, pre, cold, warm)
+		}
 	})
 }
 

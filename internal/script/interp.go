@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"maps"
 	"strings"
 )
 
@@ -62,8 +62,7 @@ func (e *EvalError) Error() string {
 }
 
 // frame is one proc call's variable scope. The global scope is not a frame:
-// it lives in the interpreter's slot table (see gslot) so the compiler can
-// resolve global variable names to integer indices.
+// it is the interpreter's globals map.
 type frame struct {
 	vars    map[string]string
 	globals map[string]bool // names linked to the global frame via `global`
@@ -87,118 +86,23 @@ type procParam struct {
 	hasDefault bool
 }
 
-// Engine selects how the interpreter executes parsed scripts.
-type Engine int
-
-const (
-	// EngineVM compiles scripts to flat bytecode programs and executes
-	// them on the register VM (the default).
-	EngineVM Engine = iota
-	// EngineTree walks the AST directly — the reference implementation
-	// the VM is differentially tested against.
-	EngineTree
-)
-
-// DefaultEngine returns the engine New installs: the VM, unless the
-// PFI_SCRIPT_ENGINE environment variable selects the tree-walker
-// ("tree" or "walker") as an escape hatch.
-func DefaultEngine() Engine {
-	switch os.Getenv("PFI_SCRIPT_ENGINE") {
-	case "tree", "walker":
-		return EngineTree
-	}
-	return EngineVM
-}
-
-// gslot is one global variable. Globals live in a flat slot table rather
-// than a map so the compiler can resolve a literal variable name to an
-// integer index once, and so the VM can memoize the numeric interpretation
-// of a value between writes (num/numState).
-type gslot struct {
-	val      string
-	num      value // memoized numeric form, valid when numState == numIs
-	numState uint8
-	set      bool
-}
-
-const (
-	numUnknown uint8 = iota // val not yet parsed
-	numIs                   // num holds parseNumber(val)
-	numNot                  // val does not parse as a number
-)
-
-// maxGlobalSlots caps the name-interning table. Scripts that synthesize
-// unbounded variable names fall through to the overflow map, keeping the
-// slot table (which is never shrunk) bounded.
-const maxGlobalSlots = 8192
-
 // Interp is a Tcl-subset interpreter. State (variables, procs) persists
 // across Eval calls, which is what lets a PFI filter script keep counters
 // and phase flags between messages. Interp is not safe for concurrent use;
 // the simulation is single-threaded by design.
 type Interp struct {
-	gslots    []gslot
-	gslotOf   map[string]int    // global name -> slot index
-	goverflow map[string]string // globals past the intern cap
-	frames    []*frame          // proc call stack (empty at top level)
-	commands  map[string]Command
-	procs     map[string]*proc
-	scripts   *srcCache[*Script]    // parse cache for control-flow bodies
-	exprs     *srcCache[exprNode]   // compile cache for expr conditions
-	progs     *srcCache[*progEntry] // VM programs compiled for the global frame
-	procProgs *srcCache[*progEntry] // VM programs compiled for proc frames
-	wordBufs  [][]string            // scratch buffers for expandCommand
-	out       io.Writer             // destination for puts
-	engine    Engine
-	optimize  bool // run compiled programs through the AOT optimizer
-	steps     int  // commands executed since limit reset
-	maxSteps  int  // 0 = unlimited
-	limitHit  bool // last top-level Eval/Run died on the step limit
-	depth     int  // proc/eval recursion depth
-
-	// cmdEpoch invalidates the VM's per-call-site command caches; it bumps
-	// whenever the name->command/proc mapping changes. shadowMask marks
-	// special-form names (if, while, set, ...) whose builtin binding has
-	// been replaced or removed, forcing compiled special forms to
-	// deoptimize to generic dispatch.
-	cmdEpoch   uint64
-	shadowMask uint32
-
-	// defEpoch invalidates optimized programs: it bumps when the set of
-	// command/proc definitions (or the shadow mask) changes — strictly
-	// less often than cmdEpoch, which also bumps on snapshot restores so
-	// inline caches revalidate. factEpoch bumps when Freeze records a new
-	// fact. pureCmds marks host commands proven var-pure (they never
-	// write interpreter variables, define procs, or evaluate scripts) —
-	// the whitelist specialization's purity proof relies on.
-	defEpoch  uint64
-	factEpoch uint64
-	facts     map[string]string // frozen globals for specialization
-	pureCmds  map[string]bool
-
-	// One-entry memo for program(): repeated top-level runs of the same
-	// *Script (the per-message filter path) skip the source-cache lookup.
-	lastScript *Script
-	lastEntry  *progEntry
-
-	// VM scratch stacks, shared across nested exec calls (each call
-	// operates above its saved base indices).
-	vmArgs []string
-	vmVals []value
-	vmFes  []feState
-	vmBuf  []byte // concat scratch
-}
-
-// progEntry is one cached compilation: the base program plus its
-// optimized lowering and the epochs/facts the optimization depends on.
-type progEntry struct {
-	base      *Program
-	opt       *Program
-	defEpoch  uint64
-	factEpoch uint64
-	deopted   bool    // sticky: a frozen fact changed underneath opt
-	factSlots []int32 // frozen slots folded into opt
-	factVals  []string
+	globals  map[string]string
+	frames   []*frame // proc call stack (empty at top level)
+	commands map[string]Command
+	procs    map[string]*proc
+	scripts  *srcCache[*Script]  // parse cache for control-flow bodies
+	exprs    *srcCache[exprNode] // compile cache for expr conditions
+	wordBufs [][]string          // scratch buffers for expandCommand
+	out      io.Writer           // destination for puts
+	steps    int                 // commands executed since limit reset
+	maxSteps int                 // 0 = unlimited
+	limitHit bool                // last top-level Eval/Run died on the step limit
+	depth    int                 // proc/eval recursion depth
 }
 
 const maxDepth = 200
@@ -207,67 +111,17 @@ const maxDepth = 200
 // Output from puts is discarded unless SetOutput is called.
 func New() *Interp {
 	in := &Interp{
-		gslotOf:   make(map[string]int),
-		commands:  make(map[string]Command),
-		procs:     make(map[string]*proc),
-		scripts:   newSrcCache[*Script](4096),
-		exprs:     newSrcCache[exprNode](4096),
-		progs:     newSrcCache[*progEntry](4096),
-		procProgs: newSrcCache[*progEntry](4096),
-		pureCmds:  make(map[string]bool),
-		out:       io.Discard,
-		engine:    DefaultEngine(),
-		optimize:  DefaultOptimize(),
-		maxSteps:  5_000_000,
+		globals:  make(map[string]string),
+		commands: make(map[string]Command),
+		procs:    make(map[string]*proc),
+		scripts:  newSrcCache[*Script](4096),
+		exprs:    newSrcCache[exprNode](4096),
+		out:      io.Discard,
+		maxSteps: 5_000_000,
 	}
 	registerCore(in)
 	return in
 }
-
-// SetOptimize toggles the AOT optimizer (on by default under EngineVM).
-// Turning it off makes every activation run the base compiled program —
-// the configuration the optimizer is differentially tested against.
-func (in *Interp) SetOptimize(on bool) { in.optimize = on }
-
-// OptimizeEnabled reports whether the AOT optimizer is active.
-func (in *Interp) OptimizeEnabled() bool { return in.optimize }
-
-// MarkPure declares host commands var-pure: they never write interpreter
-// variables, define procs, or evaluate scripts. Only invoke sites whose
-// commands are all marked pure allow profile specialization to fold
-// frozen globals into straight-line code. Marking a command that does
-// mutate interpreter state breaks the specialization soundness proof, so
-// hosts should only mark commands they own.
-func (in *Interp) MarkPure(names ...string) {
-	for _, n := range names {
-		in.pureCmds[n] = true
-	}
-}
-
-// Freeze sets a global variable and records it as a specialization fact:
-// optimized programs may constant-fold reads of name, guarded by a
-// per-activation check that the slot still holds value (a mismatch deopts
-// that program back to the unspecialized path, sticky). Freeze is for
-// registration-time constants — protocol stubs, vendor-profile
-// parameters — that scripts read but are not expected to write.
-func (in *Interp) Freeze(name, value string) {
-	in.gset(name, value)
-	if in.facts == nil {
-		in.facts = make(map[string]string)
-	}
-	in.facts[name] = value
-	in.factEpoch++
-}
-
-// Facts returns the frozen specialization facts (nil when none).
-func (in *Interp) Facts() map[string]string { return in.facts }
-
-// SetEngine switches the execution engine. The tree-walker is the reference
-// implementation; the VM must be observationally identical to it.
-func (in *Interp) SetEngine(e Engine) { in.engine = e }
-
-// EngineInUse reports the active execution engine.
-func (in *Interp) EngineInUse() Engine { return in.engine }
 
 // SetOutput directs puts output to w.
 func (in *Interp) SetOutput(w io.Writer) {
@@ -298,83 +152,27 @@ func (in *Interp) StepLimitHit() bool { return in.limitHit }
 // from a snapshot.
 func (in *Interp) Steps() int { return in.steps }
 
-// savedGlobal is one global slot's scripted state. The numeric memo
-// (num/numState) is a pure cache and is reset on restore.
-type savedGlobal struct {
-	val string
-	set bool
-}
-
 // interpState is the script-visible mutable state of an interpreter:
 // global variables and script-defined procs. Host commands, caches, and
 // scratch space are excluded — commands are installed by the host once,
 // and the caches are semantically transparent.
 type interpState struct {
-	slots    []savedGlobal
-	overflow map[string]string
-	procs    map[string]*proc
-	shadow   uint32
+	globals map[string]string
+	procs   map[string]*proc
 }
 
 // SnapshotState captures global variables and proc definitions for the
 // snapshot registry.
 func (in *Interp) SnapshotState() any {
-	st := &interpState{
-		slots:  make([]savedGlobal, len(in.gslots)),
-		procs:  make(map[string]*proc, len(in.procs)),
-		shadow: in.shadowMask,
-	}
-	for i := range in.gslots {
-		st.slots[i] = savedGlobal{val: in.gslots[i].val, set: in.gslots[i].set}
-	}
-	if in.goverflow != nil {
-		st.overflow = make(map[string]string, len(in.goverflow))
-		for k, v := range in.goverflow {
-			st.overflow[k] = v
-		}
-	}
-	for k, v := range in.procs {
-		st.procs[k] = v
-	}
-	return st
+	return &interpState{globals: maps.Clone(in.globals), procs: maps.Clone(in.procs)}
 }
 
-// RestoreState rewinds globals and procs to a captured state. The slot
-// table is never shrunk — compiled VM programs hold slot indices — so
-// slots interned after the capture are cleared rather than removed; an
-// interned-but-unset slot reads exactly like a never-mentioned variable.
+// RestoreState rewinds globals and procs to a captured state. The captured
+// maps are copied, so the state can be restored any number of times.
 func (in *Interp) RestoreState(state any) {
 	st := state.(*interpState)
-	for i := range in.gslots {
-		s := &in.gslots[i]
-		if i < len(st.slots) {
-			s.val, s.set = st.slots[i].val, st.slots[i].set
-		} else {
-			s.val, s.set = "", false
-		}
-		s.num, s.numState = valueZero, numUnknown
-	}
-	if st.overflow == nil {
-		in.goverflow = nil
-	} else {
-		in.goverflow = make(map[string]string, len(st.overflow))
-		for k, v := range st.overflow {
-			in.goverflow[k] = v
-		}
-	}
-	in.procs = make(map[string]*proc, len(st.procs))
-	for k, v := range st.procs {
-		in.procs[k] = v
-	}
-	if len(in.procs) != 0 || len(st.procs) != 0 || in.shadowMask != st.shadow {
-		// The definition set may differ; optimized programs must
-		// revalidate. Plain variable rewinds (the per-iteration fuzz
-		// path) don't bump defEpoch, so they don't force recompiles —
-		// the per-activation fact check covers restored values.
-		in.defEpoch++
-	}
-	in.shadowMask = st.shadow
-	in.cmdEpoch++
+	in.globals = maps.Clone(st.globals)
+	in.procs = maps.Clone(st.procs)
 }
 
 // Register installs (or replaces) a host command.
@@ -382,63 +180,12 @@ func (in *Interp) Register(name string, cmd Command) {
 	if cmd == nil {
 		panic("script: nil command for " + name)
 	}
-	if _, replaced := in.commands[name]; replaced {
-		in.markShadowed(name)
-	}
 	in.commands[name] = cmd
-	in.cmdEpoch++
-	in.defEpoch++
 }
 
 // Unregister removes a host command.
 func (in *Interp) Unregister(name string) {
 	delete(in.commands, name)
-	in.markShadowed(name)
-	in.cmdEpoch++
-	in.defEpoch++
-}
-
-// defineProc installs a script-defined procedure. Procs shadow host
-// commands, including the special forms the compiler inlines, so the
-// epoch and shadow mask must track definitions.
-func (in *Interp) defineProc(pr *proc) {
-	in.procs[pr.name] = pr
-	in.markShadowed(pr.name)
-	in.cmdEpoch++
-	in.defEpoch++
-}
-
-// specialFormBit returns the shadow-mask bit for a special-form name the
-// compiler inlines, or 0 for every other name.
-func specialFormBit(name string) uint32 {
-	switch name {
-	case "if":
-		return 1 << 0
-	case "while":
-		return 1 << 1
-	case "foreach":
-		return 1 << 2
-	case "set":
-		return 1 << 3
-	case "incr":
-		return 1 << 4
-	case "expr":
-		return 1 << 5
-	case "return":
-		return 1 << 6
-	case "break":
-		return 1 << 7
-	case "continue":
-		return 1 << 8
-	}
-	return 0
-}
-
-// markShadowed records that name's builtin binding changed. Sticky by
-// design: rebinding a special form is rare, and once it has happened the
-// generic dispatch path is always correct.
-func (in *Interp) markShadowed(name string) {
-	in.shadowMask |= specialFormBit(name)
 }
 
 // HasCommand reports whether name resolves to a host command or proc.
@@ -469,12 +216,12 @@ func (in *Interp) SetVar(name, value string) {
 		f.vars[name] = value
 		return
 	}
-	in.gset(name, value)
+	in.globals[name] = value
 }
 
 // SetGlobal sets a variable in the global frame regardless of call depth.
 func (in *Interp) SetGlobal(name, value string) {
-	in.gset(name, value)
+	in.globals[name] = value
 }
 
 // Var reads a variable from the current frame (following `global` links).
@@ -483,12 +230,14 @@ func (in *Interp) Var(name string) (string, bool) {
 		v, ok := f.vars[name]
 		return v, ok
 	}
-	return in.gget(name)
+	v, ok := in.globals[name]
+	return v, ok
 }
 
 // Global reads a variable from the global frame.
 func (in *Interp) Global(name string) (string, bool) {
-	return in.gget(name)
+	v, ok := in.globals[name]
+	return v, ok
 }
 
 // UnsetVar removes a variable from the current frame.
@@ -497,7 +246,7 @@ func (in *Interp) UnsetVar(name string) {
 		delete(f.vars, name)
 		return
 	}
-	in.gunset(name)
+	delete(in.globals, name)
 }
 
 // curFrame returns the innermost proc frame, or nil at global scope.
@@ -508,191 +257,28 @@ func (in *Interp) curFrame() *frame {
 	return nil
 }
 
-// gslotIndex interns name in the global slot table, returning -1 when the
-// table is full (the caller then uses the overflow map). With create=false
-// it only reports an existing slot.
-func (in *Interp) gslotIndex(name string, create bool) int {
-	if i, ok := in.gslotOf[name]; ok {
-		return i
-	}
-	if !create || len(in.gslots) >= maxGlobalSlots {
-		return -1
-	}
-	i := len(in.gslots)
-	in.gslots = append(in.gslots, gslot{})
-	in.gslotOf[name] = i
-	return i
-}
-
-func (in *Interp) gset(name, value string) {
-	if i := in.gslotIndex(name, true); i >= 0 {
-		s := &in.gslots[i]
-		s.val, s.set, s.numState = value, true, numUnknown
-		s.num = valueZero
-		return
-	}
-	if in.goverflow == nil {
-		in.goverflow = make(map[string]string)
-	}
-	in.goverflow[name] = value
-}
-
-func (in *Interp) gget(name string) (string, bool) {
-	if i, ok := in.gslotOf[name]; ok {
-		s := &in.gslots[i]
-		return s.val, s.set
-	}
-	v, ok := in.goverflow[name]
-	return v, ok
-}
-
-func (in *Interp) gunset(name string) {
-	if i, ok := in.gslotOf[name]; ok {
-		in.gslots[i] = gslot{}
-		return
-	}
-	delete(in.goverflow, name)
-}
-
-var valueZero value
-
 // Eval parses (with caching) and runs src at the top level, resetting the
 // step budget. It returns the result of the last command.
 func (in *Interp) Eval(src string) (string, error) {
-	in.steps = 0
-	in.limitHit = false
 	s, err := in.compile(src)
 	if err != nil {
+		in.steps, in.limitHit = 0, false
 		return "", err
 	}
-	res, err := in.runAny(s)
+	return in.Run(s)
+}
+
+// Run executes a pre-parsed script at the top level, resetting the step
+// budget.
+func (in *Interp) Run(s *Script) (string, error) {
+	in.steps = 0
+	in.limitHit = false
+	res, err := in.run(s)
 	if err != nil {
 		var fl *flow
 		if errors.As(err, &fl) {
 			if fl.code == flowReturn {
 				return fl.value, nil // top-level return is permitted
-			}
-			return "", &EvalError{Msg: fl.Error()}
-		}
-	}
-	return res, err
-}
-
-// Run executes a pre-parsed script at the top level.
-func (in *Interp) Run(s *Script) (string, error) {
-	in.steps = 0
-	in.limitHit = false
-	res, err := in.runAny(s)
-	if err != nil {
-		var fl *flow
-		if errors.As(err, &fl) {
-			if fl.code == flowReturn {
-				return fl.value, nil
-			}
-			return "", &EvalError{Msg: fl.Error()}
-		}
-	}
-	return res, err
-}
-
-// runAny executes a parsed script in the current frame with the active
-// engine. Every internal evaluation site (control-flow bodies, proc
-// bodies, eval, [command] operands in expr) funnels through here, so a
-// single flag flips the whole interpreter between engines.
-func (in *Interp) runAny(s *Script) (string, error) {
-	if in.engine == EngineTree {
-		return in.run(s)
-	}
-	return in.exec(in.program(s))
-}
-
-// program returns the VM program for s, compiling and memoizing on miss.
-// Global-scope and proc-scope compilations cache separately: the same body
-// text resolves variables to global slots in one and to frame maps in the
-// other. A one-entry memo short-circuits the cache for the hot case of
-// the same *Script executed every message.
-func (in *Interp) program(s *Script) *Program {
-	if len(in.frames) > 0 {
-		return in.selectProgram(in.entryFor(s, in.procProgs, modeProc), modeProc)
-	}
-	if s == in.lastScript {
-		return in.selectProgram(in.lastEntry, modeGlobal)
-	}
-	e := in.entryFor(s, in.progs, modeGlobal)
-	in.lastScript, in.lastEntry = s, e
-	return in.selectProgram(e, modeGlobal)
-}
-
-// entryFor fetches (or creates) the cache entry holding s's compilation.
-func (in *Interp) entryFor(s *Script, cache *srcCache[*progEntry], mode progMode) *progEntry {
-	if e, ok := cache.get(s.src); ok {
-		return e
-	}
-	statCompiles.Add(1)
-	e := &progEntry{base: compileProgram(in, s, mode)}
-	cache.put(s.src, e)
-	return e
-}
-
-// selectProgram picks the program an activation should run: the optimized
-// lowering when it is still valid, the base program otherwise. Validity
-// has three layers: the definition epoch (commands/procs changed →
-// re-optimize), the fact epoch (new Freeze calls → re-optimize), and the
-// per-activation fact check (a frozen global no longer holds its frozen
-// value → sticky deopt, because the specialization folded that value into
-// the instruction stream).
-func (in *Interp) selectProgram(e *progEntry, mode progMode) *Program {
-	if !in.optimize || e.deopted {
-		return e.base
-	}
-	if e.opt == nil || e.defEpoch != in.defEpoch || e.factEpoch != in.factEpoch {
-		if e.opt != nil {
-			statRecompiles.Add(1)
-		}
-		e.opt, e.factSlots, e.factVals = optimizeProgram(in, e.base, mode)
-		e.defEpoch, e.factEpoch = in.defEpoch, in.factEpoch
-	}
-	for k, sl := range e.factSlots {
-		s := &in.gslots[sl]
-		if !s.set || s.val != e.factVals[k] {
-			e.deopted = true
-			statDeopts.Add(1)
-			return e.base
-		}
-	}
-	return e.opt
-}
-
-// Prepared binds a parsed script to its compiled program entry so
-// per-message execution skips the source-cache lookup entirely. Prepare
-// compiles (but does not yet optimize) eagerly; optimization happens on
-// first run, once facts are settled.
-type Prepared struct {
-	in *Interp
-	s  *Script
-	e  *progEntry
-}
-
-// Prepare resolves s against the global-scope program cache and returns a
-// handle whose Run is equivalent to Run(s).
-func (in *Interp) Prepare(s *Script) *Prepared {
-	return &Prepared{in: in, s: s, e: in.entryFor(s, in.progs, modeGlobal)}
-}
-
-// Run executes the prepared script at the top level, like Interp.Run.
-func (pr *Prepared) Run() (string, error) {
-	in := pr.in
-	if in.engine == EngineTree {
-		return in.Run(pr.s)
-	}
-	in.steps = 0
-	in.limitHit = false
-	res, err := in.exec(in.selectProgram(pr.e, modeGlobal))
-	if err != nil {
-		var fl *flow
-		if errors.As(err, &fl) {
-			if fl.code == flowReturn {
-				return fl.value, nil
 			}
 			return "", &EvalError{Msg: fl.Error()}
 		}
@@ -709,6 +295,7 @@ func (in *Interp) compile(src string) (*Script, error) {
 	if s, ok := in.scripts.get(src); ok {
 		return s, nil
 	}
+	statCompiles.Add(1)
 	s, err := Parse(src)
 	if err != nil {
 		return nil, err
@@ -878,7 +465,7 @@ func (in *Interp) callProc(pr *proc, args []string, line int) (string, error) {
 	}
 	in.frames = append(in.frames, f)
 	defer func() { in.frames = in.frames[:len(in.frames)-1] }()
-	res, err := in.runAny(pr.body)
+	res, err := in.run(pr.body)
 	var fl *flow
 	if errors.As(err, &fl) && fl.code == flowReturn {
 		return fl.value, nil

@@ -34,17 +34,6 @@ type Layer interface {
 	Wire(down, up Sink)
 }
 
-// BatchHandler is an optional Layer extension for layers that can amortize
-// per-activation overhead (script-program resolution, recognition) across a
-// burst of messages. Batch semantics must be observably identical to
-// handling each message in order and stopping at the first error —
-// SendBatch/DeliverBatch fall back to exactly that loop for layers that do
-// not implement it.
-type BatchHandler interface {
-	HandleDownBatch(ms []*message.Message) error
-	HandleUpBatch(ms []*message.Message) error
-}
-
 // Env carries per-node context every layer needs: the virtual clock and the
 // node's name. One Env is shared by all layers of a node's stack.
 type Env struct {
@@ -150,39 +139,6 @@ func (s *Stack) Deliver(m *message.Message) error {
 		return s.top(m)
 	}
 	return s.layers[len(s.layers)-1].HandleUp(m)
-}
-
-// SendBatch injects a burst of messages at the top of the stack in order.
-// When the top layer implements BatchHandler the whole burst is handed over
-// in one activation; otherwise it degrades to per-message Send.
-func (s *Stack) SendBatch(ms []*message.Message) error {
-	if len(s.layers) > 0 {
-		if bh, ok := s.layers[0].(BatchHandler); ok {
-			return bh.HandleDownBatch(ms)
-		}
-	}
-	for _, m := range ms {
-		if err := s.Send(m); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeliverBatch injects a burst of messages at the bottom of the stack in
-// order, batching through the bottom layer when it implements BatchHandler.
-func (s *Stack) DeliverBatch(ms []*message.Message) error {
-	if len(s.layers) > 0 {
-		if bh, ok := s.layers[len(s.layers)-1].(BatchHandler); ok {
-			return bh.HandleUpBatch(ms)
-		}
-	}
-	for _, m := range ms {
-		if err := s.Deliver(m); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Insert places layer at position i (0 = top), rewiring the stack. It is

@@ -2,9 +2,9 @@
 // checked-in BENCH_*.json format: a host stanza, before/after metric
 // blocks, and computed deltas.
 //
-// Benchmarks whose name ends in the -before-suffix (default "Tree", the
-// tree-walking reference engine) land in "before" (keyed without the
-// suffix); everything else lands in "after". Usage:
+// Benchmarks whose name ends in the -before-suffix, when one is given,
+// land in "before" (keyed without the suffix); everything else lands in
+// "after". Usage:
 //
 //	go test -bench 'FilterProcess|InterpEval' -benchmem -run @ . |
 //	    go run ./tools/benchjson -note "..." -out BENCH_script.json
@@ -40,7 +40,7 @@ type report struct {
 func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	note := flag.String("note", "", "host note to embed")
-	beforeSuffix := flag.String("before-suffix", "Tree", "benchmark name suffix marking the before/reference variant")
+	beforeSuffix := flag.String("before-suffix", "", "benchmark name suffix marking the before/reference variant (none by default)")
 	flag.Parse()
 
 	r := report{
@@ -68,7 +68,7 @@ func main() {
 		if procs > r.Host.Gomaxprocs {
 			r.Host.Gomaxprocs = procs
 		}
-		if base, isBefore := strings.CutSuffix(name, *beforeSuffix); isBefore {
+		if base, isBefore := strings.CutSuffix(name, *beforeSuffix); isBefore && *beforeSuffix != "" {
 			r.Before[base] = m
 		} else {
 			r.After[name] = m
