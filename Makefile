@@ -86,17 +86,19 @@ fuzz:
 
 # resume proves the crash-safety battery under the race detector: the
 # write-ahead journal's torn-tail recovery and format goldens, campaign
-# and fuzz journal/resume determinism, the durable fleet queue, worker
-# reconnect re-adoption across a coordinator restart, the crash-safety
-# /metrics counters, the two-stage interrupt helper, and the
-# process-level SIGKILL + -resume byte-identity batteries for pfifuzz
-# (1 and 4 workers) and pficampaign (pool, and fleet coordinator restart
-# at 2 and 4 real spawned worker processes).
+# and fuzz journal/resume determinism, worker reconnect re-adoption
+# across a coordinator restart, the crash-safety /metrics counters, the
+# two-stage interrupt helper, the process-level SIGKILL + -resume
+# byte-identity batteries for pfifuzz (1 and 4 workers) and pficampaign
+# (pool, and fleet coordinator restart at 2 and 4 real spawned worker
+# processes), and a pficampaign -connect worker started before its
+# coordinator reconnecting to run the sweep.
 resume:
 	$(GO) test -race ./internal/journal/ ./internal/diag/
-	$(GO) test -race -run 'Journal|Resume|Queue|Reconnect|Streamed|CellStreaming|Metrics' \
+	$(GO) test -race -run 'Journal|Resume|Reconnect|Streamed|CellStreaming|Metrics' \
 		./internal/campaign/ ./internal/explore/ ./internal/fleet/
-	$(GO) test -race -run 'KillResume' ./cmd/pfifuzz/ ./cmd/pficampaign/
+	$(GO) test -race -run 'KillResume' ./cmd/pfifuzz/
+	$(GO) test -race -run 'KillResume|Connect' ./cmd/pficampaign/
 
 # explore runs a pinned-seed coverage-guided fuzz over the fault-schedule
 # space (~30s): a deterministic smoke that the explorer still converges and

@@ -15,8 +15,13 @@
 //
 //	pficampaign -spawn-workers 4              # fork 4 local worker processes
 //	pficampaign -serve :8080                  # also serve HTTP workers + /status /metrics
-//	pficampaign -connect http://host:8080     # run as a remote worker
+//	pficampaign -connect http://host:8080     # run as a remote worker (reconnects)
 //	pficampaign -worker-stdio                 # run as a spawned stdio worker (internal)
+//
+// These fleet flags, -shards, -unit-timeout, -journal and -resume are the
+// run surface pficampaign shares with pfifuzz (fleet.Flags). With -journal
+// every completed cell is banked as it lands; a killed sweep restarted
+// with -resume runs only the missing cells.
 //
 // Each case boots a fresh 3-daemon GMP cluster, faults one daemon's
 // traffic with the generated filter script, and checks the healthy pair
@@ -24,14 +29,13 @@
 //
 // Every case runs through the harden isolation layer: a panicking or
 // livelocked cell becomes one CRASH/LIVELOCK verdict instead of killing
-// the sweep. The -run-timeout, -stall-steps, and -budget-* flags tune the
-// watchdogs and resource budgets; -quarantine emits a headered .pfi repro
-// for every deterministic contained failure.
+// the sweep. The harden flags tune it: -run-timeout, -stall-steps, and
+// -budget-* set the watchdogs and resource budgets; -quarantine emits a
+// headered .pfi repro for every deterministic contained failure.
 package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -59,119 +63,44 @@ func main() {
 		faults  = flag.String("faults", "drop,drop-first-n,delay,duplicate,reorder", "comma-separated fault kinds")
 		list    = flag.Bool("list", false, "print the generated cases and exit")
 		quiet   = flag.Bool("quiet", false, "suppress per-verdict progress lines")
-		quar    = flag.String("quarantine", "", "directory for .pfi repros of deterministic contained failures")
 
 		raftSizes = flag.String("raft", "", "sweep the raft consensus matrix instead of GMP: comma-separated cluster sizes (e.g. 3,5,25)")
 		raftChurn = flag.String("raft-churn", "none,restart,suspend,partition", "churn models for the raft sweep")
-
-		serve       = flag.String("serve", "", "coordinate a fleet and serve HTTP workers plus /status and /metrics on this address")
-		connect     = flag.String("connect", "", "run as a remote worker against a coordinator URL (e.g. http://host:8080)")
-		spawn       = flag.Int("spawn-workers", 0, "coordinate a fleet of N locally spawned worker processes")
-		workerStdio = flag.Bool("worker-stdio", false, "run as a spawned stdio worker (internal)")
-		shards      = flag.Int("shards", 0, "fleet units per round (0: fleet default)")
-		unitTimeout = flag.Duration("unit-timeout", 30*time.Second, "fleet lease timeout before a silent worker's unit is reassigned (0: never reap)")
-
-		journalPath = flag.String("journal", "", "write-ahead log for crash-safe sweeps: every completed cell is banked as it lands")
-		resume      = flag.Bool("resume", false, "continue the sweep banked in -journal instead of refusing to reuse it")
 	)
 	hcfg := harden.Flags(flag.CommandLine)
+	fl := fleet.Flags(flag.CommandLine)
 	prof := diag.Register()
 	flag.Parse()
-	hcfg.ReproDir = *quar
 	fleet.RegisterScenario("gmp", gmpScenario)
 	registerRaftScenarios()
 
-	if *workerStdio {
-		if err := fleet.ServeStdio("pficampaign"); err != nil {
-			fmt.Fprintln(os.Stderr, "pficampaign:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *connect != "" {
-		host, _ := os.Hostname()
-		if err := fleet.RunWorker(fleet.DialHTTP(*connect), "pficampaign@"+host); err != nil {
-			fmt.Fprintln(os.Stderr, "pficampaign:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pficampaign:", err)
+	if *raftSizes != "" && fl.Journal != "" {
+		fmt.Fprintln(os.Stderr, "pficampaign: -journal supports the single-matrix GMP sweep; the raft mode runs several sweeps per invocation")
 		os.Exit(1)
 	}
-	var jl *journal.Log
-	if *journalPath != "" {
-		if *raftSizes != "" {
-			fmt.Fprintln(os.Stderr, "pficampaign: -journal supports the single-matrix GMP sweep; the raft mode runs several sweeps per invocation")
-			os.Exit(1)
-		}
-		if jl, err = journal.OpenResumable(*journalPath, *resume); err != nil {
-			fmt.Fprintln(os.Stderr, "pficampaign:", err)
-			os.Exit(1)
-		}
-		defer jl.Close()
-	}
-	// Two-stage ctrl-c: the first signal drains the sweep (in-flight
-	// cells finish and are journaled; exit 0 with a resume hint), the
-	// second force-quits a stuck drain.
-	it := diag.NotifyInterrupt(nil,
-		func() {
-			fmt.Fprintln(os.Stderr, "\npficampaign: draining — in-flight cells will finish; interrupt again to force quit")
-		},
-		func() { fmt.Fprintln(os.Stderr, "pficampaign: forced exit") })
-	defer it.Stop()
-	fcfg := fleetMode{serve: *serve, spawn: *spawn, shards: *shards, unitTimeout: *unitTimeout}
 	typesSet := false
 	flag.Visit(func(f *flag.Flag) {
 		if f.Name == "types" {
 			typesSet = true
 		}
 	})
-	var runErr error
-	if *raftSizes != "" {
-		runErr = runRaftMode(it.Context(), *raftSizes, *raftChurn, *workers, *types, typesSet, *faults, *list, *quiet, *hcfg, fcfg)
-	} else {
-		runErr = run(it.Context(), *workers, *types, *faults, *list, *quiet, *hcfg, fcfg, jl)
-	}
-	it.Stop()
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "pficampaign:", err)
-	}
-	if jl != nil {
-		if serr := jl.Sync(); serr != nil && runErr == nil {
-			runErr = serr
-		}
-	}
-	if it.Interrupted() && errors.Is(runErr, context.Canceled) {
-		// A drained sweep is an orderly stop, not a failure.
-		if jl != nil {
-			fmt.Fprintf(os.Stderr, "pficampaign: sweep interrupted; resume with -journal %s -resume\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "pficampaign: sweep interrupted (use -journal to make interrupted sweeps resumable)")
-		}
-		return
-	}
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "pficampaign:", runErr)
-		os.Exit(1)
-	}
+	// The first ctrl-c drains the sweep: in-flight cells finish and are
+	// journaled.
+	fl.Main("pficampaign", "sweep", "draining — in-flight cells will finish; interrupt again to force quit", prof,
+		func(ctx context.Context, jl *journal.Log) error {
+			if *raftSizes != "" {
+				return runRaftMode(ctx, *raftSizes, *raftChurn, *workers, *types, typesSet, *faults, *list, *quiet, *hcfg, fl)
+			}
+			return run(ctx, *workers, *types, *faults, *list, *quiet, *hcfg, fl, jl)
+		})
 }
 
-// fleetMode carries the coordinator-side fleet flags; zero means the
-// classic in-process pool.
-type fleetMode struct {
-	serve       string
-	spawn       int
-	shards      int
-	unitTimeout time.Duration
-}
-
-func (f fleetMode) active() bool { return f.serve != "" || f.spawn > 0 }
-
-func run(ctx context.Context, workers int, types, faults string, list, quiet bool, hcfg harden.Config, fcfg fleetMode, jl *journal.Log) error {
+// run sweeps the GMP matrix through the in-process pool or, with
+// -serve/-spawn-workers, over a worker fleet. The fleet's merged verdict
+// stream is bit-identical to the in-process sweep; only wall-clock
+// isolation knobs (-run-timeout) stay local, as they do not travel to
+// workers.
+func run(ctx context.Context, workers int, types, faults string, list, quiet bool, hcfg harden.Config, fl *fleet.RunFlags, jl *journal.Log) error {
 	kinds, err := parseFaults(faults)
 	if err != nil {
 		return err
@@ -191,17 +120,30 @@ func run(ctx context.Context, workers int, types, faults string, list, quiet boo
 		}
 		return nil
 	}
-	if fcfg.active() {
-		return runFleet(ctx, spec, len(cases), hcfg, fcfg, jl)
-	}
-	fmt.Printf("sweeping %d cases with %d worker(s)\n", len(cases), workers)
-	opts := campaign.Options{Workers: workers, Harden: hcfg, Repro: reproScenario, Context: ctx, Journal: jl}
-	if !quiet {
-		opts.OnVerdict = func(v campaign.Verdict) {
-			fmt.Printf("%-8s %s (%s)\n", v.Status(), v.Case.Name, v.Elapsed.Round(time.Millisecond))
+	var (
+		verdicts []campaign.Verdict
+		stats    campaign.RunStats
+		coord    *fleet.Coordinator
+	)
+	if fl.Fleet() {
+		cfg := fl.Config()
+		cfg.Journal = jl
+		coord = fleet.NewCampaign(spec, "gmp", fleet.HardenWire(hcfg), cfg)
+		err = fl.Coordinate(coord, func() (err error) {
+			fmt.Printf("sweeping %d cases over a fleet (%d spawned worker(s))\n", len(cases), fl.Spawn)
+			verdicts, stats, err = coord.RunCampaign(ctx)
+			return err
+		})
+	} else {
+		fmt.Printf("sweeping %d cases with %d worker(s)\n", len(cases), workers)
+		opts := campaign.Options{Workers: workers, Harden: hcfg, Repro: reproScenario, Context: ctx, Journal: jl}
+		if !quiet {
+			opts.OnVerdict = func(v campaign.Verdict) {
+				fmt.Printf("%-8s %s (%s)\n", v.Status(), v.Case.Name, v.Elapsed.Round(time.Millisecond))
+			}
 		}
+		verdicts, stats, err = campaign.RunParallel(spec, gmpScenario, opts)
 	}
-	verdicts, stats, err := campaign.RunParallel(spec, gmpScenario, opts)
 	if err != nil {
 		return err
 	}
@@ -209,61 +151,11 @@ func run(ctx context.Context, workers int, types, faults string, list, quiet boo
 		fmt.Printf("resumed %d journaled cell(s); ran %d\n", stats.Resumed, stats.Cases-stats.Resumed)
 	}
 	fmt.Print(campaign.Summary(verdicts, stats))
-	if fails := campaign.Failures(verdicts); len(fails) > 0 {
-		return fmt.Errorf("%d cases failed", len(fails))
+	if coord != nil {
+		fs := coord.Stats()
+		fmt.Printf("fleet: %d units over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames\n",
+			fs.Units, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
 	}
-	return nil
-}
-
-// runFleet sweeps the matrix over a worker fleet: locally spawned stdio
-// workers (-spawn-workers), remote HTTP workers joining via -serve, or
-// both. The merged verdict stream is bit-identical to the in-process
-// sweep; only wall-clock isolation knobs (-run-timeout) stay local, as
-// they do not travel to workers.
-func runFleet(ctx context.Context, spec campaign.Spec, n int, hcfg harden.Config, fcfg fleetMode, jl *journal.Log) error {
-	coord := fleet.NewCampaign(spec, "gmp", fleet.HardenWire(hcfg), fleet.Config{
-		Shards:      fcfg.shards,
-		UnitTimeout: fcfg.unitTimeout,
-		Journal:     jl,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if fcfg.serve != "" {
-		srv, err := coord.Serve(fcfg.serve)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fleet: serving workers on http://%s (status: /status, metrics: /metrics)\n", srv.Addr)
-	}
-	var pool *fleet.Pool
-	if fcfg.spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return err
-		}
-		pool, err = coord.SpawnWorkers(fcfg.spawn, []string{exe, "-worker-stdio"}, nil)
-		if err != nil {
-			return err
-		}
-	}
-	fmt.Printf("sweeping %d cases over a fleet (%d spawned worker(s))\n", n, fcfg.spawn)
-	verdicts, stats, err := coord.RunCampaign(ctx)
-	coord.Close()
-	if pool != nil {
-		pool.Wait()
-	}
-	if err != nil {
-		return err
-	}
-	fs := coord.Stats()
-	if stats.Resumed > 0 {
-		fmt.Printf("resumed %d journaled cell(s); ran %d\n", stats.Resumed, stats.Cases-stats.Resumed)
-	}
-	fmt.Print(campaign.Summary(verdicts, stats))
-	fmt.Printf("fleet: %d units over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames\n",
-		fs.Units, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
 	if fails := campaign.Failures(verdicts); len(fails) > 0 {
 		return fmt.Errorf("%d cases failed", len(fails))
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"context"
 	"fmt"
-	"os"
 	"sort"
 	"strconv"
 	"strings"
@@ -230,7 +229,7 @@ func lowestConflict(m map[uint64]map[string]bool) (uint64, string) {
 // runRaftMode is the -raft entry point: parse the size and churn axes,
 // retarget the default type vocabulary from GMP to the raft wire protocol
 // (an explicit -types still wins), and hand the spec to the sweep.
-func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, types string, typesSet bool, faults string, list, quiet bool, hcfg harden.Config, fcfg fleetMode) error {
+func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, types string, typesSet bool, faults string, list, quiet bool, hcfg harden.Config, fl *fleet.RunFlags) error {
 	sizes, err := parseRaftSizes(sizesStr)
 	if err != nil {
 		return err
@@ -265,15 +264,15 @@ func runRaftMode(ctx context.Context, sizesStr, churnStr string, workers int, ty
 		}
 		return nil
 	}
-	return runRaft(ctx, sizes, churns, spec, workers, quiet, hcfg, fcfg)
+	return runRaft(ctx, sizes, churns, spec, workers, quiet, hcfg, fl)
 }
 
 // runRaft sweeps the full consensus matrix: for each (size, churn) cell,
 // the faultload case matrix runs through the in-process pool or, in fleet
 // mode, is sharded over worker processes (one fleet round per cell — the
 // scenario name carries the cell, the wire carries the case indices).
-func runRaft(ctx context.Context, sizes []int, churns []string, spec campaign.Spec, workers int, quiet bool, hcfg harden.Config, fcfg fleetMode) error {
-	if fcfg.serve != "" {
+func runRaft(ctx context.Context, sizes []int, churns []string, spec campaign.Spec, workers int, quiet bool, hcfg harden.Config, fl *fleet.RunFlags) error {
+	if fl.Serve != "" {
 		return fmt.Errorf("-raft sweeps run one fleet round per matrix cell; use -spawn-workers (a -serve listener cannot rebind per cell)")
 	}
 	cases, err := campaign.Generate(spec)
@@ -289,25 +288,12 @@ func runRaft(ctx context.Context, sizes []int, churns []string, spec campaign.Sp
 			cell := raftScenarioName(size, churn)
 			var verdicts []campaign.Verdict
 			var stats campaign.RunStats
-			if fcfg.active() {
-				coord := fleet.NewCampaign(spec, cell, fleet.HardenWire(hcfg), fleet.Config{
-					Shards:      fcfg.shards,
-					UnitTimeout: fcfg.unitTimeout,
+			if fl.Fleet() {
+				coord := fleet.NewCampaign(spec, cell, fleet.HardenWire(hcfg), fl.Config())
+				err = fl.Coordinate(coord, func() (err error) {
+					verdicts, stats, err = coord.RunCampaign(ctx)
+					return err
 				})
-				exe, err := os.Executable()
-				if err != nil {
-					return err
-				}
-				pool, err := coord.SpawnWorkers(fcfg.spawn, []string{exe, "-worker-stdio"}, nil)
-				if err != nil {
-					return err
-				}
-				verdicts, stats, err = coord.RunCampaign(ctx)
-				coord.Close()
-				pool.Wait()
-				if err != nil {
-					return fmt.Errorf("%s: %w", cell, err)
-				}
 			} else {
 				opts := campaign.Options{Workers: workers, Harden: hcfg, Context: ctx}
 				if !quiet {
@@ -315,11 +301,10 @@ func runRaft(ctx context.Context, sizes []int, churns []string, spec campaign.Sp
 						fmt.Printf("%-8s %s/%s (%s)\n", v.Status(), cell, v.Case.Name, v.Elapsed.Round(time.Millisecond))
 					}
 				}
-				var err error
 				verdicts, stats, err = campaign.RunParallel(spec, raftScenario(size, churn), opts)
-				if err != nil {
-					return fmt.Errorf("%s: %w", cell, err)
-				}
+			}
+			if err != nil {
+				return fmt.Errorf("%s: %w", cell, err)
 			}
 			fmt.Printf("-- %s --\n%s", cell, campaign.Summary(verdicts, stats))
 			all = append(all, verdicts...)

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -132,5 +134,65 @@ func TestSweepKillResumeByteIdentical(t *testing.T) {
 				t.Errorf("resumed summary diverged\ngot:\n%s\nwant:\n%s", got, want)
 			}
 		})
+	}
+}
+
+// TestConnectWorkerOutlivesCoordinatorStart starts a -connect worker
+// before any coordinator serves its address — its first hello fails —
+// then brings a -serve coordinator up there. The worker must reconnect
+// and run the whole sweep: the coordinator spawns no workers of its own.
+func TestConnectWorkerOutlivesCoordinatorStart(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots full GMP clusters in subprocesses")
+	}
+	// Hold the address with a listener that hangs up on the worker's
+	// first request, so the worker provably starts before the coordinator.
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	addr := ln.Addr().String()
+	refused := make(chan struct{})
+	go func() {
+		if c, err := ln.Accept(); err == nil {
+			c.Close()
+		}
+		close(refused)
+	}()
+	worker, _, werr := startSelf(t, t.TempDir(), "-connect", "http://"+addr)
+	select {
+	case <-refused:
+	case <-time.After(30 * time.Second):
+		worker.Process.Kill()
+		_ = worker.Wait()
+		t.Fatalf("worker never dialed the coordinator address\nworker stderr:\n%s", werr)
+	}
+	ln.Close()
+
+	coord, out, errb := startSelf(t, t.TempDir(), "-serve", addr, "-types", "HEARTBEAT", "-faults", "drop")
+	done := make(chan error, 1)
+	go func() { done <- coord.Wait() }()
+	select {
+	case err = <-done:
+	case <-time.After(time.Minute):
+		coord.Process.Kill()
+		<-done
+		err = fmt.Errorf("timed out waiting for the sweep")
+	}
+	// A worker that saw the drain has exited; one that lost the closed
+	// server is still redialing. Either way its part is done.
+	worker.Process.Kill()
+	_ = worker.Wait()
+	if err != nil {
+		t.Fatalf("coordinator: %v\nstdout:\n%s\nstderr:\n%s\nworker stderr:\n%s", err, out, errb, werr)
+	}
+	for _, want := range []string{"2/2 cases passed", "over 1 worker(s)"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("coordinator stdout lacks %q:\n%s\nworker stderr:\n%s", want, out, werr)
+		}
+	}
+	if !strings.Contains(werr.String(), "reconnecting") {
+		t.Errorf("worker never reported a reconnect:\n%s", werr)
 	}
 }

@@ -23,8 +23,13 @@
 //
 //	pfifuzz -spawn-workers 4              # fork 4 local worker processes
 //	pfifuzz -serve :8080                  # also serve HTTP workers + /status /metrics
-//	pfifuzz -connect http://host:8080     # run as a remote worker
+//	pfifuzz -connect http://host:8080     # run as a remote worker (reconnects)
 //	pfifuzz -worker-stdio                 # run as a spawned stdio worker (internal)
+//
+// These fleet flags, -shards, -unit-timeout, -journal and -resume are the
+// run surface pfifuzz shares with pficampaign (fleet.Flags). With -journal
+// the exploration checkpoints at every generation boundary; a killed run
+// restarted with -resume ends bit-identical to an uninterrupted one.
 //
 // Candidates sharing a schedule prefix fork from one world snapshot and
 // execute only their mutated suffix — O(delta) per candidate instead of a
@@ -37,8 +42,9 @@
 // world surfaces as a tool-fault finding, a stalled one as livelock, an
 // over-budget one as budget-exceeded — never a dead fuzzer. The
 // -stall-steps and -budget-* flags tune the simulated-time watchdogs
-// (those findings stay deterministic across machines); -quarantine is
-// where shrunk contained failures land as headered .pfi repros.
+// (those findings stay deterministic across machines); -quarantine, like
+// them a harden flag, is where shrunk contained failures land as headered
+// .pfi repros.
 // -run-timeout also works but its timeouts are wall-clock and therefore
 // machine-dependent: reported, never emitted (and they disable the
 // snapshot fast path, whose forks would see a different clock).
@@ -76,77 +82,24 @@ func main() {
 		profile = flag.String("profile", "", "default vendor profile for tcp schedules (default SunOS 4.1.3)")
 		out     = flag.String("out", "", "directory for minimized .pfi repros and golden traces (none: report only)")
 		quiet   = flag.Bool("q", false, "suppress per-generation progress lines")
-		quar    = flag.String("quarantine", "", "directory for .pfi repros of contained failures (tool-fault, livelock, budget-exceeded)")
-		snap    = flag.Bool("snapshot", true, "fork shared-prefix candidates from world snapshots (O(delta) per candidate)")
-		noSnap  = flag.Bool("no-snapshot", false, "replay every candidate in a fresh world (overrides -snapshot)")
+		noSnap  = flag.Bool("no-snapshot", false, "replay every candidate in a fresh world (default: fork shared-prefix candidates from world snapshots)")
 
 		raftN    = flag.Int("raft", 0, "seed raft consensus schedules for an n-node cluster into the corpus (0: tcp/gmp only)")
 		raftBugs = flag.String("raft-bugs", "", "comma-separated raft implementation bugs to seed (skip-vote-persist, ack-before-quorum) — oracle self-test")
-
-		serve       = flag.String("serve", "", "coordinate a fleet and serve HTTP workers plus /status and /metrics on this address")
-		connect     = flag.String("connect", "", "run as a remote worker against a coordinator URL (e.g. http://host:8080)")
-		spawn       = flag.Int("spawn-workers", 0, "coordinate a fleet of N locally spawned worker processes")
-		workerStdio = flag.Bool("worker-stdio", false, "run as a spawned stdio worker (internal)")
-		shards      = flag.Int("shards", 0, "fleet units per round (0: fleet default)")
-		unitTimeout = flag.Duration("unit-timeout", 30*time.Second, "fleet lease timeout before a silent worker's unit is reassigned (0: never reap)")
-
-		journalPath = flag.String("journal", "", "write-ahead log for crash-safe runs: the exploration checkpoints at every generation boundary")
-		resume      = flag.Bool("resume", false, "continue the run banked in -journal instead of refusing to reuse it")
 	)
 	hcfg := harden.Flags(flag.CommandLine)
+	fl := fleet.Flags(flag.CommandLine)
 	prof := diag.Register()
 	flag.Parse()
 
-	if *workerStdio {
-		if err := fleet.ServeStdio("pfifuzz"); err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *connect != "" {
-		host, _ := os.Hostname()
-		if err := fleet.RunWorker(fleet.DialHTTP(*connect), "pfifuzz@"+host); err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	stopProf, err := prof.Start()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-		os.Exit(1)
-	}
-	var jl *journal.Log
-	if *journalPath != "" {
-		if jl, err = journal.OpenResumable(*journalPath, *resume); err != nil {
-			fmt.Fprintln(os.Stderr, "pfifuzz:", err)
-			os.Exit(1)
-		}
-		defer jl.Close()
-	}
-	// Two-stage ctrl-c: the first signal drains the run at the next
-	// generation boundary (the journal checkpoint makes it resumable;
-	// exit 0 with the hint), the second force-quits a stuck drain.
-	it := diag.NotifyInterrupt(nil,
-		func() {
-			fmt.Fprintln(os.Stderr, "\npfifuzz: draining at the generation boundary — interrupt again to force quit")
-		},
-		func() { fmt.Fprintln(os.Stderr, "pfifuzz: forced exit") })
-	defer it.Stop()
-
 	opts := explore.Options{
-		Seed:          *seed,
-		Budget:        *budget,
-		Workers:       *workers,
-		BatchSize:     *batch,
-		OutDir:        *out,
-		QuarantineDir: *quar,
-		Harden:        *hcfg,
-		Snapshot:      *snap && !*noSnap,
-		Context:       it.Context(),
-		Journal:       jl,
+		Seed:      *seed,
+		Budget:    *budget,
+		Workers:   *workers,
+		BatchSize: *batch,
+		OutDir:    *out,
+		Harden:    *hcfg,
+		Snapshot:  !*noSnap,
 	}
 	if *profile != "" {
 		p, err := tcp.ProfileByName(*profile)
@@ -178,44 +131,52 @@ func main() {
 		}
 	}
 
+	// The first ctrl-c drains the run at the next generation boundary
+	// (the journal checkpoint makes it resumable).
+	fl.Main("pfifuzz", "run", "draining at the generation boundary — interrupt again to force quit", prof,
+		func(ctx context.Context, jl *journal.Log) error {
+			opts.Context, opts.Journal = ctx, jl
+			return fuzz(opts, *profile, fl)
+		})
+}
+
+// fuzz runs the exploration in-process or, with -serve/-spawn-workers,
+// shards candidate evaluation over a worker fleet, and prints the report.
+// Only deterministic isolation knobs travel to workers; wall-clock
+// -run-timeout does not (it is machine-dependent), so fleet runs use the
+// deterministic watchdogs alone. A drained run still reports what it
+// explored.
+func fuzz(opts explore.Options, profile string, fl *fleet.RunFlags) error {
 	start := time.Now()
 	var rep *explore.Report
-	var ferr error
-	if *spawn > 0 || *serve != "" {
-		rep, ferr = runFleet(opts, *profile, *hcfg, *serve, *spawn, *shards, *unitTimeout)
+	var err error
+	if fl.Fleet() {
+		coord := fleet.NewFuzz(profile, fleet.HardenWire(opts.Harden), fl.Config())
+		err = fl.Coordinate(coord, func() (err error) {
+			rep, err = coord.RunFuzz(opts)
+			return err
+		})
+		if err == nil {
+			fs := coord.Stats()
+			fmt.Fprintf(os.Stderr, "fleet: %d units in %d rounds over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames\n",
+				fs.Units, fs.Rounds, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
+		}
 	} else {
-		rep, ferr = explore.Fuzz(opts)
+		rep, err = explore.Fuzz(opts)
 	}
 	elapsed := time.Since(start)
-	it.Stop()
-	if perr := stopProf(); perr != nil {
-		fmt.Fprintln(os.Stderr, "pfifuzz:", perr)
+	if err != nil && !errors.Is(err, context.Canceled) {
+		return err
 	}
-	if jl != nil {
-		if serr := jl.Sync(); serr != nil && ferr == nil {
-			ferr = serr
-		}
+	if rep != nil {
+		fmt.Print(rep)
 	}
-	if it.Interrupted() && errors.Is(ferr, context.Canceled) {
-		// A drained run is an orderly stop, not a failure: report what
-		// was explored and how to pick it back up.
-		if rep != nil {
-			fmt.Print(rep)
-		}
-		if jl != nil {
-			fmt.Fprintf(os.Stderr, "pfifuzz: run interrupted at a generation boundary; resume with -journal %s -resume\n", *journalPath)
-		} else {
-			fmt.Fprintln(os.Stderr, "pfifuzz: run interrupted (use -journal to make interrupted runs resumable)")
-		}
-		return
+	if err != nil {
+		return err
 	}
-	if ferr != nil {
-		fmt.Fprintln(os.Stderr, "pfifuzz:", ferr)
-		os.Exit(1)
-	}
-	fmt.Print(rep)
 	fmt.Println(throughput(rep, elapsed))
 	fmt.Println(scriptStats())
+	return nil
 }
 
 // scriptStats renders the script-cache summary: how many sources the run
@@ -224,51 +185,6 @@ func scriptStats() string {
 	ss := script.Stats()
 	return fmt.Sprintf("script: %d compiles, %d cache hits, %d cache misses",
 		ss.Compiles, ss.CacheHits, ss.CacheMisses)
-}
-
-// runFleet shards candidate evaluation over a worker fleet: locally
-// spawned stdio workers (-spawn-workers), remote HTTP workers joining
-// via -serve, or both. Only deterministic isolation knobs travel to
-// workers; wall-clock -run-timeout does not (it is machine-dependent),
-// so fleet runs use the deterministic watchdogs alone.
-func runFleet(opts explore.Options, profile string, hcfg harden.Config, serve string, spawn, shards int, unitTimeout time.Duration) (*explore.Report, error) {
-	coord := fleet.NewFuzz(profile, fleet.HardenWire(hcfg), fleet.Config{
-		Shards:      shards,
-		UnitTimeout: unitTimeout,
-		Log: func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, format+"\n", args...)
-		},
-	})
-	if serve != "" {
-		srv, err := coord.Serve(serve)
-		if err != nil {
-			return nil, err
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "fleet: serving workers on http://%s (status: /status, metrics: /metrics)\n", srv.Addr)
-	}
-	var pool *fleet.Pool
-	if spawn > 0 {
-		exe, err := os.Executable()
-		if err != nil {
-			return nil, err
-		}
-		pool, err = coord.SpawnWorkers(spawn, []string{exe, "-worker-stdio"}, nil)
-		if err != nil {
-			return nil, err
-		}
-	}
-	rep, err := coord.RunFuzz(opts)
-	coord.Close()
-	if pool != nil {
-		pool.Wait()
-	}
-	if err == nil {
-		fs := coord.Stats()
-		fmt.Fprintf(os.Stderr, "fleet: %d units in %d rounds over %d worker(s): %d reassigned, %d contained, %d stale, %d bad frames\n",
-			fs.Units, fs.Rounds, fs.WorkersSeen, fs.Reassigned, fs.Contained, fs.Stale, fs.BadFrames)
-	}
-	return rep, err
 }
 
 // throughput renders the end-of-run summary line: total evaluations,

@@ -32,11 +32,6 @@ type Options struct {
 	// OutDir, when non-empty, is where minimized repro scenarios and
 	// golden traces are written (OutDir/found_*.pfi, OutDir/golden/).
 	OutDir string
-	// QuarantineDir, when non-empty, is where deterministic contained
-	// failures (tool-fault, livelock, budget-exceeded) are written as
-	// headered quarantine repros (QuarantineDir/quarantine_*.pfi). These
-	// cannot pass as conformance tests, so they never land in OutDir.
-	QuarantineDir string
 	// ShrinkBudget bounds predicate evaluations per finding (default 300).
 	ShrinkBudget int
 	// Harden is the per-candidate isolation policy. The zero value still
@@ -44,7 +39,11 @@ type Options struct {
 	// a dead fuzzer); budgets and watchdogs are opt-in. Only the
 	// simulated-time knobs (StallSteps, Budget) keep findings
 	// deterministic across machines — wall-clock timeouts degrade to
-	// exec-error and are reported but never emitted.
+	// exec-error and are reported but never emitted. Harden.ReproDir,
+	// when non-empty, is where deterministic contained failures
+	// (tool-fault, livelock, budget-exceeded) are written, shrunk, as
+	// headered quarantine repros (ReproDir/quarantine_*.pfi). These
+	// cannot pass as conformance tests, so they never land in OutDir.
 	Harden harden.Config
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
@@ -112,12 +111,21 @@ func (o Options) withDefaults() Options {
 		o.Context = context.Background()
 	}
 	if o.evaluate == nil {
-		cfg := o.Harden
+		cfg := o.evalHarden()
 		o.evaluate = func(s Schedule, prof tcp.Profile) *Outcome {
 			return evaluate(s, prof, cfg)
 		}
 	}
 	return o
+}
+
+// evalHarden is the isolation policy of one candidate evaluation:
+// Harden without ReproDir, which receives only the shrunk repro of a
+// finding (emitQuarantined), never an evaluation's unshrunk one.
+func (o Options) evalHarden() harden.Config {
+	cfg := o.Harden
+	cfg.ReproDir = ""
+	return cfg
 }
 
 // Finding is one shrunk oracle violation.
@@ -254,7 +262,7 @@ func Fuzz(opts Options) (*Report, error) {
 				err = fmt.Errorf("explore: EvalBatch returned %d outcomes for %d candidates", len(outs), len(batch))
 			}
 		} else if snapOn {
-			outs, err = snapEvalBatch(opts.Context, opts.Workers, batch, opts.Profile, opts.Harden, &rep.Snapshot)
+			outs, err = snapEvalBatch(opts.Context, opts.Workers, batch, opts.Profile, opts.evalHarden(), &rep.Snapshot)
 		} else {
 			outs = make([]*Outcome, len(batch))
 			err = campaign.ForEach(opts.Context, opts.Workers, len(batch), func(i int) {
@@ -456,7 +464,7 @@ func fingerprint(global *Coverage, corpus []corpusEntry) string {
 // shrinkAndEmit minimizes one violating schedule and, for emittable kinds
 // with an output directory, writes the repro scenario and golden trace.
 // Contained kinds (tool-fault, livelock, budget-exceeded) are shrunk with
-// the same ddmin pass but emitted into Options.QuarantineDir instead —
+// the same ddmin pass but emitted into Options.Harden.ReproDir instead —
 // they cannot pass as conformance scenarios.
 func shrinkAndEmit(s Schedule, v Violation, opts Options, rep *Report) (Finding, error) {
 	predicate := func(c Schedule) bool {
@@ -515,7 +523,7 @@ func shrinkAndEmit(s Schedule, v Violation, opts Options, rep *Report) (Finding,
 
 // emitQuarantined finalizes a contained finding: its scenario is the
 // compiled minimized schedule under a quarantine header, written to
-// QuarantineDir when one is configured.
+// Harden.ReproDir when one is configured.
 func emitQuarantined(min Schedule, final Violation, minOut *Outcome, opts Options, f Finding) (Finding, error) {
 	src, err := Compile(min)
 	if err != nil {
@@ -526,10 +534,10 @@ func emitQuarantined(min Schedule, final Violation, minOut *Outcome, opts Option
 		iso = minOut.Result.Isolation
 	}
 	f.Scenario = quarantineHeader(final, iso, opts.Seed) + src
-	if opts.QuarantineDir == "" {
+	if opts.Harden.ReproDir == "" {
 		return f, nil
 	}
-	path, err := EmitQuarantine(opts.QuarantineDir, min, final, f.Scenario)
+	path, err := EmitQuarantine(opts.Harden.ReproDir, min, final, f.Scenario)
 	if err != nil {
 		return f, err
 	}

@@ -2,6 +2,7 @@ package explore
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -60,12 +61,12 @@ func TestFuzzWorkerInvarianceWithContainedFailures(t *testing.T) {
 			budget, batch = 24, 8
 		}
 		rep, err := Fuzz(Options{
-			Seed:          11,
-			Budget:        budget,
-			BatchSize:     batch,
-			Workers:       workers,
-			QuarantineDir: dir,
-			evaluate:      crashingEvaluate,
+			Seed:      11,
+			Budget:    budget,
+			BatchSize: batch,
+			Workers:   workers,
+			Harden:    harden.Config{ReproDir: dir},
+			evaluate:  crashingEvaluate,
 		})
 		if err != nil {
 			t.Fatalf("Fuzz: %v", err)
@@ -163,5 +164,44 @@ func TestEvaluateContainsPanicAndStall(t *testing.T) {
 		t.Errorf("stalling schedule: got %+v, want one livelock", o.Violations)
 	} else if o.Result.Isolation == nil || o.Result.Isolation.Counter != "stall" {
 		t.Errorf("stalling schedule missing stall counter: %+v", o.Result.Isolation)
+	}
+}
+
+// TestQuarantineHoldsOnlyShrunkRepros: with Harden.ReproDir set and a
+// trace budget every candidate exceeds, the directory must hold exactly
+// the findings' shrunk quarantine repros — no candidate evaluation may
+// write its own unshrunk one beside them, on either evaluation path.
+func TestQuarantineHoldsOnlyShrunkRepros(t *testing.T) {
+	for _, snap := range []bool{false, true} {
+		dir := t.TempDir()
+		rep, err := Fuzz(Options{
+			Seed:         3,
+			Budget:       8,
+			BatchSize:    8,
+			ShrinkBudget: 10,
+			Snapshot:     snap,
+			Harden:       harden.Config{Budget: harden.Budget{TraceEntries: 5}, ReproDir: dir},
+		})
+		if err != nil {
+			t.Fatalf("snapshot=%t: Fuzz: %v", snap, err)
+		}
+		want := map[string]bool{}
+		for _, f := range rep.Findings {
+			if f.Path != "" {
+				want[filepath.Base(f.Path)] = true
+			}
+		}
+		if len(want) == 0 {
+			t.Fatalf("snapshot=%t: no quarantined finding; the trace budget never tripped", snap)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if !want[e.Name()] {
+				t.Errorf("snapshot=%t: %s is not a finding's shrunk repro", snap, e.Name())
+			}
+		}
 	}
 }

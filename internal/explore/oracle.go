@@ -48,7 +48,7 @@ const (
 	ViolCommitSafety = "commit-safety"
 	// ViolToolFault: the simulated world panicked; the isolation layer
 	// contained it. Deterministic tool-faults shrink into quarantine
-	// repros (Options.QuarantineDir) rather than passing conformance
+	// repros (Options.Harden.ReproDir) rather than passing conformance
 	// scenarios.
 	ViolToolFault = "tool-fault"
 	// ViolLivelock: the world kept executing events without producing

@@ -58,9 +58,11 @@ func (c *Coordinator) EvalBatch(ctx context.Context, batch []explore.Schedule) (
 // coordinator — candidate derivation, corpus evolution, shrinking, repro
 // emission — so the report (fingerprint, corpus, findings, emitted
 // bytes) is bit-identical to single-process explore.Fuzz for the same
-// seed. opts.Profile is overridden from the job so coordinator-side
-// shrink evaluations and worker-side batch evaluations resolve the same
-// vendor profile.
+// seed. opts.Profile and opts.Harden are overridden from the job so
+// coordinator-side shrink evaluations and worker-side batch evaluations
+// resolve the same vendor profile and isolation policy; only
+// opts.Harden.ReproDir, where the coordinator writes quarantine repros,
+// is kept.
 //
 // Crash safety rides on opts.Journal: because derivation, corpus
 // evolution, and generation boundaries all live here on the
@@ -83,7 +85,9 @@ func (c *Coordinator) RunFuzz(opts explore.Options) (*explore.Report, error) {
 		}
 	}
 	opts.Profile = prof
-	opts.Harden = c.job.Harden.Config()
+	hc := c.job.Harden.Config()
+	hc.ReproDir = opts.Harden.ReproDir
+	opts.Harden = hc
 	opts.EvalBatch = c.EvalBatch
 	return explore.Fuzz(opts)
 }

@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -399,102 +400,33 @@ func TestWorkerReconnectReAdoption(t *testing.T) {
 	}
 }
 
-// TestQueueDurability proves the multi-campaign queue is a pure
-// function of its journal: adds, leases, and completions all survive a
-// process restart (reopening the log), an in-flight lease resumes ahead
-// of fresh work, and IDs never collide across generations.
-func TestQueueDurability(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "queue.journal")
-	jobs := []Job{
-		{Kind: JobCampaign, Spec: &sweepSpec, Scenario: "sweep"},
-		{Kind: JobFuzz, Profile: "solaris"},
-		{Kind: JobCampaign, Spec: &sweepSpec, Scenario: "sweep-2"},
-	}
-
-	l, err := journal.Open(path)
+// TestWorkerReconnectStopsOnCancel: canceling a connected worker's
+// context stops it at its next lease with the context error, instead of
+// leasing on until the coordinator drains — the first ctrl-c of a
+// -connect worker.
+func TestWorkerReconnectStopsOnCancel(t *testing.T) {
+	c := NewCampaign(sweepSpec, "sweep", WireHarden{}, Config{LeaseWait: 20 * time.Millisecond})
+	defer c.Close()
+	srv, err := c.Serve("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := OpenQueue(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, job := range jobs {
-		qj, err := q.Add(job, fmt.Sprintf("cells-%d.journal", i))
-		if err != nil {
-			t.Fatal(err)
+	defer srv.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		done <- RunWorkerReconnect(ctx, func() (Conn, error) { return DialHTTP("http://" + srv.Addr), nil }, "idle", Reconnect{})
+	}()
+	// No round is running, so the admitted worker is waiting for a lease.
+	waitStats(t, c, "worker admitted", func(s Stats) bool { return s.WorkersSeen == 1 })
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("worker returned %v, want context.Canceled", err)
 		}
-		if qj.ID != i {
-			t.Fatalf("job %d got ID %d", i, qj.ID)
-		}
-	}
-	leased, ok, err := q.Lease()
-	if err != nil || !ok || leased.ID != 0 {
-		t.Fatalf("first lease = %+v ok=%t err=%v, want job 0", leased, ok, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// "Coordinator restart": replay the log. The in-flight lease is
-	// still pending — first in line — with its cell journal intact.
-	l, err = journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err = OpenQueue(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pending := q.Pending()
-	if len(pending) != 3 || q.Done() != 0 {
-		t.Fatalf("after restart: %d pending %d done, want 3 and 0", len(pending), q.Done())
-	}
-	if !pending[0].Leased || pending[0].ID != 0 || pending[0].JournalPath != "cells-0.journal" {
-		t.Fatalf("in-flight job not first: %+v", pending[0])
-	}
-	released, ok, err := q.Lease()
-	if err != nil || !ok || released.ID != 0 {
-		t.Fatalf("re-lease = %+v ok=%t err=%v, want in-flight job 0 again", released, ok, err)
-	}
-	if err := q.Complete(0); err != nil {
-		t.Fatal(err)
-	}
-	if err := q.Complete(0); err == nil {
-		t.Fatal("completing a finished job twice succeeded")
-	}
-	next, ok, err := q.Lease()
-	if err != nil || !ok || next.ID != 1 {
-		t.Fatalf("next lease = %+v ok=%t err=%v, want job 1", next, ok, err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Second restart: completion stuck, lease stuck, new IDs are fresh.
-	l, err = journal.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	q, err = OpenQueue(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Done() != 1 {
-		t.Errorf("Done = %d, want 1", q.Done())
-	}
-	pending = q.Pending()
-	if len(pending) != 2 || pending[0].ID != 1 || !pending[0].Leased || pending[1].ID != 2 {
-		t.Fatalf("pending after second restart = %+v", pending)
-	}
-	added, err := q.Add(Job{Kind: JobFuzz}, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if added.ID != 3 {
-		t.Errorf("new job got recycled ID %d, want 3", added.ID)
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker kept leasing after its context was canceled")
 	}
 }
 

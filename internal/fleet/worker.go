@@ -82,10 +82,12 @@ type workerHooks struct {
 // units. Use RunWorkerReconnect for workers that should outlive a
 // coordinator restart.
 func RunWorker(conn Conn, name string) error {
-	return runWorker(conn, name, workerHooks{})
+	return runWorker(context.Background(), conn, name, workerHooks{})
 }
 
-func runWorker(conn Conn, name string, hooks workerHooks) error {
+// runWorker is RunWorker that stops leasing once ctx is canceled,
+// returning the context error after the unit in hand has finished.
+func runWorker(ctx context.Context, conn Conn, name string, hooks workerHooks) error {
 	defer conn.Close()
 	resp, err := conn.RoundTrip(Envelope{V: ProtocolVersion, Type: MsgHello, Worker: name})
 	if err != nil {
@@ -103,6 +105,9 @@ func runWorker(conn Conn, name string, hooks workerHooks) error {
 	}
 	leased := 0
 	for {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		resp, err := conn.RoundTrip(Envelope{V: ProtocolVersion, Type: MsgLease, Session: session})
 		if err != nil {
 			return fmt.Errorf("fleet: lease: %w", err)
@@ -195,9 +200,10 @@ func ReconnectBackoffs() uint64 { return reconnectBackoffs.Load() }
 // lost coordinator, redials with exponential backoff plus jitter. A
 // coordinator restart therefore does not shrink the fleet: the worker
 // rejoins the new coordinator (observing its bumped epoch) and keeps
-// leasing. Returns nil on a clean drain, the context error on cancel,
-// and the last session error once MaxAttempts consecutive attempts fail
-// without completing a unit.
+// leasing. Returns nil on a clean drain, the context error on cancel
+// (a session finishes the unit in hand first), and the last session
+// error once MaxAttempts consecutive attempts fail without completing a
+// unit.
 func RunWorkerReconnect(ctx context.Context, dial func() (Conn, error), name string, rc Reconnect) error {
 	rc = rc.withDefaults()
 	if ctx == nil {
@@ -212,7 +218,7 @@ func RunWorkerReconnect(ctx context.Context, dial func() (Conn, error), name str
 		progressed := false
 		conn, err := dial()
 		if err == nil {
-			err = runWorker(conn, name, workerHooks{
+			err = runWorker(ctx, conn, name, workerHooks{
 				onJob: func(_ Job, epoch int) {
 					if lastEpoch >= 0 && epoch != lastEpoch {
 						rc.Log("fleet: worker %s re-adopted by restarted coordinator (epoch %d -> %d)", name, lastEpoch, epoch)
@@ -224,6 +230,9 @@ func RunWorkerReconnect(ctx context.Context, dial func() (Conn, error), name str
 			if err == nil {
 				return nil // clean drain
 			}
+		}
+		if ctx.Err() != nil {
+			return ctx.Err()
 		}
 		attempts++
 		if attempts > rc.MaxAttempts {

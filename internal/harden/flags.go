@@ -21,5 +21,7 @@ func Flags(fs *flag.FlagSet) *Config {
 		"max freshly scheduled timers per run (0: unlimited)")
 	fs.BoolVar(&cfg.Retry, "retry", true,
 		"retry a contained failure once to classify deterministic vs. flaky")
+	fs.StringVar(&cfg.ReproDir, "quarantine", "",
+		"directory for .pfi repros of deterministic contained failures")
 	return cfg
 }
